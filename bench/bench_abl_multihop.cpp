@@ -40,16 +40,14 @@ int main() {
   // Legs into Google Drive from every site.
   for (const auto& [a, node_a] : sites) {
     auto world = scenario::World::create(config);
-    bool done = false;
-    double elapsed = 0.0;
-    world->api_engine(cloud::ProviderKind::kGoogleDrive)
-        .upload(world->node(node_a), transfer::make_file_mb(50, 1),
-                [&](const transfer::UploadResult& r) {
-                  done = true;
-                  elapsed = r.success ? r.duration_s() : 1e9;
-                });
+    auto task = world->api_engine(cloud::ProviderKind::kGoogleDrive)
+                    .upload_task(world->node(node_a),
+                                 transfer::make_file_mb(50, 1));
     world->simulator().run();
-    if (done) matrix.set(a, "GDrive", elapsed);
+    if (!task.done()) continue;
+    const auto& joined = task.result();
+    const bool ok = joined.ok() && joined.value().success;
+    matrix.set(a, "GDrive", ok ? joined.value().duration_s() : 1e9);
   }
   // Direct client->GDrive entries must use the measured *direct* route,
   // with cross traffic on: congestion is exactly what the direct paths

@@ -30,16 +30,18 @@ int main() {
     auto world = scenario::World::create(config);
     transfer::ParallelPushEngine engine(&world->fabric());
     transfer::FileSpec file = transfer::make_file_mb(100, 1);
-    transfer::ParallelPushResult result;
-    engine.push(world->client_node(scenario::Client::kUBC),
-                world->provider_node(cloud::ProviderKind::kGoogleDrive), file,
-                streams,
-                [&](const transfer::ParallelPushResult& r) { result = r; });
+    auto task = engine.push_task(
+        world->client_node(scenario::Client::kUBC),
+        world->provider_node(cloud::ProviderKind::kGoogleDrive), file, streams);
     world->simulator().run();
-    if (!result.success) {
-      std::fprintf(stderr, "push failed: %s\n", result.error.c_str());
+    const auto& joined = task.result();
+    if (!joined.ok() || !joined.value().success) {
+      std::fprintf(stderr, "push failed: %s\n",
+                   joined.ok() ? joined.value().error.c_str()
+                               : joined.error().message.c_str());
       return 1;
     }
+    const transfer::ParallelPushResult& result = joined.value();
     raw.add_row({std::to_string(streams),
                  util::fmt_seconds(result.duration_s()),
                  util::fmt_double(kBytes * 8e-6 / result.duration_s(), 1),

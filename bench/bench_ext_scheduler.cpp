@@ -54,17 +54,18 @@ PolicyRun run_policy(bool use_overlay, std::uint64_t seed) {
     file.bytes = job.bytes;
     file.name = job.id;
     const auto client = world->client_node(scenario::Client::kPurdue);
+    const auto report = [done](const auto& joined) {
+      if (!joined.ok()) return done(false, joined.error().message);
+      done(joined.value().success, joined.value().error);
+    };
     if (route == "Direct") {
-      world->api_engine(provider).upload(
-          client, file,
-          [done](const transfer::UploadResult& r) { done(r.success, r.error); });
+      world->api_engine(provider).upload_task(client, file).on_done(report);
     } else {
-      world->detour_engine(provider).transfer(
-          client,
-          world->intermediate_node(scenario::Intermediate::kUAlberta), file,
-          [done](const transfer::DetourResult& r) {
-            done(r.success, r.error);
-          });
+      world->detour_engine(provider)
+          .transfer_task(
+              client,
+              world->intermediate_node(scenario::Intermediate::kUAlberta), file)
+          .on_done(report);
     }
   };
 

@@ -5,6 +5,8 @@
 // draining across many independent pods, the workload the incremental
 // allocator (DESIGN.md §12) exists for. The storm runs in both allocation
 // modes and reports `speedup_vs_full`; the rewrite was accepted at >= 5x.
+// The same storm at 100k concurrent flows, with fleet-wide capacity
+// rewrites, tracks fleet-scale cost.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -107,7 +109,10 @@ struct Storm {
   }
 };
 
-std::uint64_t run_storm(PodFleet& fleet, int generations,
+// `storm_rounds` fleet-wide capacity storms ride along, 3 s apart from
+// t = 2 s: each rewrites a deterministic sample of links (hitting pod
+// bottlenecks too) and calls reallocate_now, so every pod refills at once.
+std::uint64_t run_storm(PodFleet& fleet, int generations, int storm_rounds,
                         std::uint64_t* completed) {
   util::Rng rng(7);
   Storm storm;
@@ -119,6 +124,19 @@ std::uint64_t run_storm(PodFleet& fleet, int generations,
     // Stagger generation 0 so pods never start in lockstep.
     fleet.simulator.schedule_at(rng.uniform(0.0, 2.0), [&storm, pair] {
       storm.start_next(pair, 0);
+    });
+  }
+  util::Rng storm_rng = rng.fork(~0ull);
+  const std::size_t link_count = fleet.topo.link_count();
+  for (int round = 0; round < storm_rounds; ++round) {
+    fleet.simulator.schedule_at(2.0 + 3.0 * round, [&fleet, &storm_rng,
+                                                    link_count] {
+      for (std::size_t l = 0; l < link_count; l += 97) {
+        const double capacity = storm_rng.uniform(500.0, 2000.0);
+        (void)fleet.topo.set_link_capacity(static_cast<net::LinkId>(l),
+                                           capacity);
+      }
+      fleet.fabric->reallocate_now();
     });
   }
   fleet.simulator.run();
@@ -206,13 +224,15 @@ DROUTE_BENCH(churn_storm_100x, "ms") {
   auto t0 = std::chrono::steady_clock::now();
   PodFleet full(pods, hosts_per_pod, net::Fabric::AllocMode::kFullRecompute);
   std::uint64_t full_completed = 0;
-  const std::uint64_t full_digest = run_storm(full, generations, &full_completed);
+  const std::uint64_t full_digest =
+      run_storm(full, generations, 0, &full_completed);
   const double full_ms = wall_ms(t0);
 
   t0 = std::chrono::steady_clock::now();
   PodFleet probe(pods, hosts_per_pod, net::Fabric::AllocMode::kIncremental);
   std::uint64_t probe_completed = 0;
-  const std::uint64_t probe_digest = run_storm(probe, generations, &probe_completed);
+  const std::uint64_t probe_digest =
+      run_storm(probe, generations, 0, &probe_completed);
   const double incremental_ms = wall_ms(t0);
 
   // A storm that diverges across modes would be benchmarking a bug.
@@ -233,7 +253,32 @@ DROUTE_BENCH(churn_storm_100x, "ms") {
   ctx.set_work([pods, hosts_per_pod, generations] {
     PodFleet fleet(pods, hosts_per_pod, net::Fabric::AllocMode::kIncremental);
     std::uint64_t completed = 0;
-    run_storm(fleet, generations, &completed);
+    run_storm(fleet, generations, 0, &completed);
+  });
+}
+
+DROUTE_BENCH(churn_storm_100k, "ms") {
+  // 100k concurrent flows: 1000 independent pods x 100 closed-loop pairs,
+  // with four fleet-wide capacity storms. Every pair must complete every
+  // generation, or the events count below would misreport the run.
+  const int pods = ctx.quick() ? 20 : 1000;
+  const int pairs = ctx.quick() ? 10 : 100;
+  const int generations = 2;
+  const int rounds = ctx.quick() ? 2 : 4;
+  const std::uint64_t expected =
+      static_cast<std::uint64_t>(pods) * pairs * generations;
+  ctx.set_events(static_cast<double>(expected));
+  ctx.extra("fleet_flows", static_cast<double>(pods) * pairs);
+  ctx.set_work([pods, pairs, generations, rounds, expected] {
+    PodFleet fleet(pods, pairs, net::Fabric::AllocMode::kIncremental);
+    std::uint64_t completed = 0;
+    run_storm(fleet, generations, rounds, &completed);
+    if (completed != expected) {
+      std::fprintf(stderr, "100k storm completed %llu of %llu flows\n",
+                   static_cast<unsigned long long>(completed),
+                   static_cast<unsigned long long>(expected));
+      std::exit(1);
+    }
   });
 }
 

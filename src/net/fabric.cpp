@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 
 #include "check/contract.h"
 #include "obs/recorder.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 #include "util/units.h"
 
 namespace droute::net {
@@ -43,30 +41,10 @@ Fabric::Fabric(sim::Simulator* simulator, Topology* topo, RouteTable* routes)
       obs::histogram("net.flow_duration_s", obs::duration_bounds_s());
   obs_link_utilization_ =
       obs::histogram("net.link_utilization_ratio", obs::ratio_bounds());
-  obs_shard_batches_ = obs::counter("net.shard_batches_total");
-  obs_shard_fills_ = obs::counter("net.shard_fills_total");
-  obs_shard_batch_components_ = obs::gauge("net.shard_batch_components");
-  obs_shard_imbalance_ =
-      obs::histogram("net.shard_imbalance_ratio", obs::log_ratio_bounds());
-  if (const char* env = std::getenv("DROUTE_SHARD_WORKERS")) {
-    const int workers = std::atoi(env);
-    if (workers >= 1) {
-      alloc_mode_ = AllocMode::kSharded;
-      shard_workers_ = workers;
-    }
-  }
   // Link ids are dense topology indices; size the per-link table up front
   // so attach never regrows it mid-simulation (late-added links still grow
   // it lazily).
   links_.resize(topo_->link_count());
-}
-
-Fabric::~Fabric() = default;
-
-void Fabric::set_shard_workers(int workers) {
-  DROUTE_CHECK(workers >= 1, "shard workers must be >= 1");
-  if (workers != shard_workers_) shard_pool_.reset();
-  shard_workers_ = workers;
 }
 
 util::Result<double> Fabric::rtt_s(NodeId a, NodeId b) const {
@@ -420,9 +398,7 @@ void Fabric::collect_component(std::uint32_t seed_slot) {
   }
 }
 
-std::uint64_t Fabric::fill_component(
-    std::size_t comp, std::vector<std::uint32_t>& unfrozen,
-    std::vector<std::uint32_t>& still_unfrozen) {
+std::uint64_t Fabric::fill_component(std::size_t comp) {
   // --- Progressive filling (water-filling) with per-flow caps. ---
   // Invariants on exit (checked by tests): no link over capacity, no flow
   // over its cap, and every unfrozen flow is blocked by a saturated link.
@@ -430,12 +406,8 @@ std::uint64_t Fabric::fill_component(
   // The arithmetic below must stay a pure function of this component's
   // flows and links: the incremental/full-recompute equivalence (DESIGN.md
   // §12) rests on unchanged components reproducing their retained rates
-  // bit-for-bit, and the sharded mode (DESIGN.md §16) additionally runs
-  // this on pool workers — it may touch only this component's slots_/links_
-  // entries (disjoint across the batch by construction), read the topology,
-  // and must never reach the simulator, the finish heap, obs, or any clock.
-  // Min-reductions are exact and all updates are per-entry, so iteration
-  // order cannot perturb the result.
+  // bit-for-bit. Min-reductions are exact and all updates are per-entry, so
+  // iteration order cannot perturb the result.
   const std::size_t fbegin = batch_flow_begin_[comp];
   const std::size_t fend = batch_flow_begin_[comp + 1];
   const std::size_t lbegin = batch_link_begin_[comp];
@@ -450,13 +422,13 @@ std::uint64_t Fabric::fill_component(
     links_[lid].active = static_cast<std::int32_t>(links_[lid].flows.size());
   }
 
-  unfrozen.assign(batch_flows_.begin() + static_cast<std::ptrdiff_t>(fbegin),
-                  batch_flows_.begin() + static_cast<std::ptrdiff_t>(fend));
+  unfrozen_.assign(batch_flows_.begin() + static_cast<std::ptrdiff_t>(fbegin),
+                   batch_flows_.begin() + static_cast<std::ptrdiff_t>(fend));
   std::uint64_t rounds = 0;
-  while (!unfrozen.empty()) {
+  while (!unfrozen_.empty()) {
     ++rounds;
     double delta = std::numeric_limits<double>::infinity();
-    for (const std::uint32_t slot : unfrozen) {
+    for (const std::uint32_t slot : unfrozen_) {
       const Flow& flow = slots_[slot].flow;
       delta = std::min(delta, flow.cap_bps - flow.rate_bps);
     }
@@ -468,7 +440,7 @@ std::uint64_t Fabric::fill_component(
     }
     delta = std::max(delta, 0.0);
 
-    for (const std::uint32_t slot : unfrozen) {
+    for (const std::uint32_t slot : unfrozen_) {
       slots_[slot].flow.rate_bps += delta;
     }
     for (std::size_t l = lbegin; l < lend; ++l) {
@@ -477,8 +449,8 @@ std::uint64_t Fabric::fill_component(
     }
 
     // Freeze flows at their cap or on a saturated link.
-    still_unfrozen.clear();
-    for (const std::uint32_t slot : unfrozen) {
+    still_unfrozen_.clear();
+    for (const std::uint32_t slot : unfrozen_) {
       const Flow& flow = slots_[slot].flow;
       bool frozen = flow.rate_bps >= flow.cap_bps - kRateEps;
       if (!frozen) {
@@ -494,12 +466,12 @@ std::uint64_t Fabric::fill_component(
           --links_[lid].active;
         }
       } else {
-        still_unfrozen.push_back(slot);
+        still_unfrozen_.push_back(slot);
       }
     }
-    DROUTE_CHECK(still_unfrozen.size() < unfrozen.size() || delta > 0.0,
+    DROUTE_CHECK(still_unfrozen_.size() < unfrozen_.size() || delta > 0.0,
                  "allocation failed to make progress");
-    std::swap(unfrozen, still_unfrozen);
+    std::swap(unfrozen_, still_unfrozen_);
   }
   return rounds;
 }
@@ -514,8 +486,8 @@ void Fabric::reallocate_and_reschedule(const std::vector<std::uint32_t>& seeds,
     epoch_ = 1;
   }
 
-  // Phase A — collect (serial, deterministic order: dense slot ids in full
-  // mode, caller-provided seed order otherwise). Component membership and
+  // Phase A — collect (deterministic order: dense slot ids in full mode,
+  // caller-provided seed order otherwise). Component membership and
   // pre-fill rates land in the batch arrays; nothing is mutated yet.
   batch_flows_.clear();
   batch_links_.clear();
@@ -537,53 +509,18 @@ void Fabric::reallocate_and_reschedule(const std::vector<std::uint32_t>& seeds,
   }
   const std::size_t components = batch_flow_begin_.size() - 1;
 
-  // Phase B — water-fill every collected component. Each fill is a pure
-  // function of its component (see fill_component), so sharded mode fans
-  // the batch out to the pool; any order of execution produces bit-identical
-  // rates. The simulator is guarded against worker scheduling for the whole
-  // parallel window.
-  batch_rounds_.assign(components, 0);
-  if (alloc_mode_ == AllocMode::kSharded && shard_workers_ > 1 &&
-      components > 1) {
-    if (!shard_pool_ ||
-        shard_pool_->thread_count() !=
-            static_cast<std::size_t>(shard_workers_)) {
-      shard_pool_ = std::make_unique<util::ThreadPool>(
-          static_cast<std::size_t>(shard_workers_));
-    }
-    simulator_->begin_parallel_section();
-    try {
-      shard_pool_->parallel_for(components, [this](std::size_t comp) {
-        thread_local std::vector<std::uint32_t> unfrozen;
-        thread_local std::vector<std::uint32_t> still_unfrozen;
-        batch_rounds_[comp] = fill_component(comp, unfrozen, still_unfrozen);
-      });
-    } catch (...) {
-      simulator_->end_parallel_section();
-      throw;
-    }
-    simulator_->end_parallel_section();
-  } else {
-    for (std::size_t comp = 0; comp < components; ++comp) {
-      batch_rounds_[comp] = fill_component(comp, unfrozen_, still_unfrozen_);
-    }
-  }
-
-  // Phase C — merge (serial, strictly in collection order): settle byte
-  // progress and re-key the finish heap for exactly the flows whose rate
-  // changed bitwise, then observe per-link utilization. An unchanged
-  // component reproduces its retained rates exactly, so every mode takes
-  // the same advance/re-key actions in the same order — the invariant the
-  // equivalence suite pins down, and the reason no wall-clock or scheduling
-  // order can leak into event timestamps or metrics.
+  // Phase B — per component, strictly in collection order: water-fill it
+  // (a pure function of the component, see fill_component), then settle
+  // byte progress and re-key the finish heap for exactly the flows whose
+  // rate changed bitwise, and observe per-link utilization. An unchanged
+  // component reproduces its retained rates exactly, so both modes take the
+  // same advance/re-key actions in the same order — the invariant the
+  // equivalence suite pins down.
   std::uint64_t rounds = 0;
-  std::size_t largest_component = 0;
   for (std::size_t comp = 0; comp < components; ++comp) {
-    rounds += batch_rounds_[comp];
-    const std::size_t fbegin = batch_flow_begin_[comp];
-    const std::size_t fend = batch_flow_begin_[comp + 1];
-    largest_component = std::max(largest_component, fend - fbegin);
-    for (std::size_t i = fbegin; i < fend; ++i) {
+    rounds += fill_component(comp);
+    for (std::size_t i = batch_flow_begin_[comp];
+         i < batch_flow_begin_[comp + 1]; ++i) {
       const std::uint32_t slot = batch_flows_[i];
       Flow& flow = slots_[slot].flow;
       if (flow.rate_bps == batch_prev_rates_[i]) continue;
@@ -604,16 +541,6 @@ void Fabric::reallocate_and_reschedule(const std::vector<std::uint32_t>& seeds,
   }
   obs::add(obs_realloc_rounds_, rounds);
   obs::add(obs_realloc_components_, components);
-  // Shard-boundary diagnostics, derived from the batch structure alone so
-  // the values are identical in every mode and at every worker count.
-  obs::add(obs_shard_batches_);
-  obs::add(obs_shard_fills_, components);
-  obs::set(obs_shard_batch_components_, static_cast<double>(components));
-  if (!batch_flows_.empty()) {
-    obs::observe(obs_shard_imbalance_,
-                 static_cast<double>(largest_component) /
-                     static_cast<double>(batch_flows_.size()));
-  }
 
   resync_completion_event();
 }

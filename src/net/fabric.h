@@ -21,14 +21,6 @@
 // event, and the differential suite (tests/fabric_equivalence_test.cpp,
 // proptest property `fabric_equivalence`) holds the two paths byte-equal.
 //
-// Because each component's fill is independent, dirty components are also
-// embarrassingly parallel *within* one event: AllocMode::kSharded fans the
-// per-component water-fills out to a private util::ThreadPool while keeping
-// component collection and the advance/re-key merge single-threaded in
-// collection order, so event schedules, digests and metrics stay
-// byte-identical to the single-threaded modes at any worker count
-// (DESIGN.md §16).
-//
 // Between-event bookkeeping is lazy so untouched flows cost nothing per
 // event: byte progress is advanced per flow only when its rate is about to
 // change (or it leaves), and completions are scheduled from a min-heap of
@@ -43,7 +35,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <queue>
 #include <string>
@@ -58,13 +49,8 @@
 
 namespace droute::obs {
 class Counter;
-class Gauge;
 class Histogram;
 }  // namespace droute::obs
-
-namespace droute::util {
-class ThreadPool;
-}  // namespace droute::util
 
 namespace droute::net {
 
@@ -112,21 +98,9 @@ class Fabric {
   ///                   all other flows keep their retained rates (default).
   ///   kFullRecompute  re-fill every component from scratch on every event —
   ///                   the reference the differential suite compares against.
-  ///   kSharded        like kIncremental, but the dirty components of each
-  ///                   event are water-filled in parallel on a private
-  ///                   ThreadPool (shard boundary = sharing component);
-  ///                   collection and merge stay single-threaded and ordered,
-  ///                   so results are byte-identical to the other modes at
-  ///                   any worker count (DESIGN.md §16).
-  enum class AllocMode { kIncremental, kFullRecompute, kSharded };
+  enum class AllocMode { kIncremental, kFullRecompute };
 
-  /// When the DROUTE_SHARD_WORKERS environment variable is a positive
-  /// integer N, new fabrics default to AllocMode::kSharded with N workers
-  /// (explicit set_alloc_mode/set_shard_workers calls override it). Lets CI
-  /// run the whole suite sharded without touching every stack constructor.
   Fabric(sim::Simulator* simulator, Topology* topo, RouteTable* routes);
-
-  ~Fabric();  // out-of-line: owns the (forward-declared) shard pool
 
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
@@ -140,15 +114,6 @@ class Fabric {
   /// suite always fixes the mode for a whole scenario.
   void set_alloc_mode(AllocMode mode) { alloc_mode_ = mode; }
   AllocMode alloc_mode() const { return alloc_mode_; }
-
-  /// Worker count for AllocMode::kSharded (>= 1). 1 runs the sharded
-  /// batch/merge discipline inline on the simulation thread (no pool);
-  /// >= 2 fans component fills out to a private ThreadPool, created lazily
-  /// on the first multi-component batch. Worker count can never change
-  /// results — only wall-clock time (the determinism contract the
-  /// three-mode differential suite enforces).
-  void set_shard_workers(int workers);
-  int shard_workers() const { return shard_workers_; }
 
   /// Base RTT added to propagation (host stacks, serialization); default 3ms.
   void set_base_rtt_s(double base_rtt) { base_rtt_s_ = base_rtt; }
@@ -300,21 +265,17 @@ class Fabric {
   // (epoch-marked; callers bumped epoch_ and push the component offsets).
   void collect_component(std::uint32_t seed_slot);
 
-  // Max-min water-fill over batch component `comp` only, using the given
-  // scratch vectors. Returns rounds. Pure per component: in sharded mode it
-  // runs on a pool worker and touches only this component's slots_/links_
+  // Max-min water-fill over batch component `comp` only. Returns rounds.
+  // Pure per component: touches only this component's slots_/links_
   // entries (disjoint across components by construction) — never the
   // simulator, the finish heap, or obs.
-  std::uint64_t fill_component(std::size_t comp,
-                               std::vector<std::uint32_t>& unfrozen,
-                               std::vector<std::uint32_t>& still_unfrozen);
+  std::uint64_t fill_component(std::size_t comp);
 
   // Water-fills the components reachable from `seeds` (incremental mode) or
-  // every component (full mode / force_full) in three phases — serial
-  // collect into the batch, per-component fill (parallel when sharded),
-  // serial merge in collection order; flows whose rate changed are settled
-  // and re-keyed in the finish heap, then the completion event is resynced
-  // to the new heap minimum.
+  // every component (full mode / force_full): collect them into the batch,
+  // then fill each in collection order, settling and re-keying in the
+  // finish heap the flows whose rate changed; finally resyncs the
+  // completion event to the new heap minimum.
   void reallocate_and_reschedule(const std::vector<std::uint32_t>& seeds,
                                  bool force_full = false);
 
@@ -337,9 +298,6 @@ class Fabric {
   RouteTable* routes_;
   double base_rtt_s_ = 0.003;
   AllocMode alloc_mode_ = AllocMode::kIncremental;
-  int shard_workers_ = 1;
-  // Private fill pool for kSharded (lazy; sized to shard_workers_).
-  std::unique_ptr<util::ThreadPool> shard_pool_;
 
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
@@ -351,15 +309,13 @@ class Fabric {
   // Fill batch, rebuilt by every reallocation (buffers retained across
   // events): the dirty components in collection order. Component c owns
   // flows[flow_begin[c], flow_begin[c+1]) and links[link_begin[c],
-  // link_begin[c+1]); prev_rates parallels flows; rounds[c] is written by
-  // the (possibly parallel) fill and read back by the serial merge.
+  // link_begin[c+1]); prev_rates parallels flows.
   std::vector<std::uint32_t> batch_flows_;
   std::vector<LinkId> batch_links_;
   std::vector<double> batch_prev_rates_;  // pre-fill rates, ∥ batch_flows_
   std::vector<std::size_t> batch_flow_begin_;
   std::vector<std::size_t> batch_link_begin_;
-  std::vector<std::uint64_t> batch_rounds_;
-  // Serial-path scratch (parallel fills use per-thread scratch instead).
+  // Collect/fill scratch.
   std::vector<std::uint32_t> bfs_stack_;
   std::vector<std::uint32_t> unfrozen_;
   std::vector<std::uint32_t> still_unfrozen_;
@@ -385,13 +341,6 @@ class Fabric {
   obs::Counter* obs_realloc_skipped_ = nullptr;
   obs::Histogram* obs_flow_duration_ = nullptr;
   obs::Histogram* obs_link_utilization_ = nullptr;
-  // Shard-boundary diagnostics, recorded in *every* mode from the batch
-  // structure alone (identical across modes and worker counts, so metrics
-  // CSVs stay byte-identical between single-threaded and sharded runs).
-  obs::Counter* obs_shard_batches_ = nullptr;
-  obs::Counter* obs_shard_fills_ = nullptr;
-  obs::Gauge* obs_shard_batch_components_ = nullptr;
-  obs::Histogram* obs_shard_imbalance_ = nullptr;
 };
 
 }  // namespace droute::net

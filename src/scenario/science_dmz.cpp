@@ -82,31 +82,21 @@ util::Result<double> ScienceDmzWorld::run_upload(Path path,
       std::max<std::uint64_t>(1, bytes / util::kMB), ++upload_counter_);
   file.bytes = bytes;
 
-  bool done = false;
-  bool ok = false;
-  std::string error;
-  double elapsed = 0.0;
+  const auto finish = [this](auto& task) -> util::Result<double> {
+    while (!task.done() && simulator_.step()) {
+    }
+    if (!task.done()) return util::Error::make("upload did not finish");
+    const auto& joined = task.result();
+    if (!joined.ok()) return util::Error{joined.error()};
+    if (!joined.value().success) return util::Error::make(joined.value().error);
+    return joined.value().duration_s();
+  };
   if (path == Path::kThroughFirewall) {
-    api_->upload(lab_host_, file, [&](const transfer::UploadResult& result) {
-      done = true;
-      ok = result.success;
-      error = result.error;
-      elapsed = result.duration_s();
-    });
-  } else {
-    detour_->transfer(lab_host_, dtn_, file,
-                      [&](const transfer::DetourResult& result) {
-                        done = true;
-                        ok = result.success;
-                        error = result.error;
-                        elapsed = result.duration_s();
-                      });
+    auto task = api_->upload_task(lab_host_, file);
+    return finish(task);
   }
-  while (!done && simulator_.step()) {
-  }
-  if (!done) return util::Error::make("upload did not finish");
-  if (!ok) return util::Error::make(error);
-  return elapsed;
+  auto task = detour_->transfer_task(lab_host_, dtn_, file);
+  return finish(task);
 }
 
 }  // namespace droute::scenario

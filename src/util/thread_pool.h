@@ -1,21 +1,18 @@
 // Fixed-size thread pool with per-worker deques and work stealing.
 //
-// Two very different workloads share this pool:
-//   * measurement campaigns — coarse, independent simulation runs (one
-//     simulator instance per task, nothing shared);
-//   * the sharded fabric allocator — batches of per-component water-fills
-//     dispatched from the simulation thread (DESIGN.md §16).
-// Both produce tasks far heavier than the scheduling overhead, so the pool
-// keeps one mutex over all deques (no lock-free heroics) but preserves the
-// stealing *discipline*: submitters distribute round-robin across worker
-// deques, a worker pops its own deque LIFO (cache-warm), and an idle worker
-// steals the oldest task from a sibling FIFO, which keeps the tail of an
-// uneven batch balanced.
+// The workload is measurement campaigns: coarse, independent simulation
+// runs (one simulator instance per task, nothing shared). Tasks are far
+// heavier than the scheduling overhead, so the pool keeps one mutex over
+// all deques (no lock-free heroics) but preserves the stealing
+// *discipline*: submitters distribute round-robin across worker deques, a
+// worker pops its own deque LIFO (cache-warm), and an idle worker steals
+// the oldest task from a sibling FIFO, which keeps the tail of an uneven
+// batch balanced.
 //
-// Determinism contract (relied on by net::Fabric's sharded mode): the pool
-// never reorders *results* — parallel_for runs every index exactly once and
-// parallel_for_reduce folds in index order, so outputs are a function of the
-// inputs alone, never of thread count or scheduling.
+// Determinism contract: the pool never reorders *results* — parallel_for
+// runs every index exactly once and parallel_for_reduce folds in index
+// order, so outputs are a function of the inputs alone, never of thread
+// count or scheduling.
 #pragma once
 
 #include <atomic>

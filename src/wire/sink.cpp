@@ -74,10 +74,13 @@ void Sink::serve(Ingress* ingress) {
     }
     if (failed) continue;
 
-    const rsyncx::Md5Digest digest = md5.finalize();
-    if (auto status = conn.send_all(digest); !status.ok()) continue;
+    // Count before acking, so a writer that has its digest back already
+    // sees the object in objects_received()/bytes_received(). A failed ack
+    // is the writer's to report: it never gets the digest.
     objects_received_.fetch_add(1);
     bytes_received_.fetch_add(len.value());
+    const rsyncx::Md5Digest digest = md5.finalize();
+    (void)conn.send_all(digest);
   }
 }
 

@@ -449,28 +449,6 @@ TEST(DetourTask, ThrowingLegSurfacesAsFailedResult) {
   EXPECT_NE(result.error.find("basis_overlap"), std::string::npos);
 }
 
-TEST(DetourTask, ThrowingLegSurfacesThroughCallbackShim) {
-  auto world = quiet_world();
-  const auto ubc = world->client_node(scenario::Client::kUBC);
-  const auto ua = world->intermediate_node(scenario::Intermediate::kUAlberta);
-  DetourOptions options;
-  options.rsync.basis_overlap = 1.5;
-
-  DetourResult seen;
-  bool fired = false;
-  world->detour_engine(cloud::ProviderKind::kGoogleDrive)
-      .transfer(ubc, ua, make_file_mb(10, 7),
-                [&](const DetourResult& result) {
-                  fired = true;
-                  seen = result;
-                },
-                options);
-  world->simulator().run();
-  ASSERT_TRUE(fired);
-  EXPECT_FALSE(seen.success);
-  EXPECT_NE(seen.error.find("detour leg 1 (rsync)"), std::string::npos);
-}
-
 TEST(RsyncTask, AbortFlowMidTransferFailsTheLeg) {
   auto world = quiet_world();
   RsyncEngine engine(&world->fabric());

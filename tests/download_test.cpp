@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "cloud/content.h"
+#include "run_task.h"
 #include "scenario/north_america.h"
 #include "transfer/api_download.h"
 #include "transfer/detour_download.h"
@@ -59,12 +60,11 @@ TEST(ApiDownload, FetchesAndVerifiesIntegrity) {
   auto name = world->stage_object(ProviderKind::kGoogleDrive, 20 * util::kMB);
   ASSERT_TRUE(name.ok());
 
-  DownloadResult result;
-  world->download_engine(ProviderKind::kGoogleDrive)
-      .download(world->intermediate_node(scenario::Intermediate::kUAlberta),
-                name.value(),
-                [&](const DownloadResult& r) { result = r; });
-  world->simulator().run();
+  auto task = world->download_engine(ProviderKind::kGoogleDrive)
+                  .download_task(world->intermediate_node(
+                                     scenario::Intermediate::kUAlberta),
+                                 name.value());
+  const DownloadResult result = run_task(world->simulator(), task);
   ASSERT_TRUE(result.success) << result.error;
   EXPECT_TRUE(result.integrity_ok);
   EXPECT_EQ(result.payload_bytes, 20 * util::kMB);
@@ -74,12 +74,10 @@ TEST(ApiDownload, FetchesAndVerifiesIntegrity) {
 
 TEST(ApiDownload, MissingObjectFailsCleanly) {
   auto world = quiet_world();
-  DownloadResult result;
-  result.success = true;
-  world->download_engine(ProviderKind::kDropbox)
-      .download(world->client_node(scenario::Client::kUBC), "no-such-file",
-                [&](const DownloadResult& r) { result = r; });
-  world->simulator().run();
+  auto task = world->download_engine(ProviderKind::kDropbox)
+                  .download_task(world->client_node(scenario::Client::kUBC),
+                                 "no-such-file");
+  const DownloadResult result = run_task(world->simulator(), task);
   EXPECT_FALSE(result.success);
   EXPECT_NE(result.error.find("metadata"), std::string::npos);
 }
@@ -91,17 +89,13 @@ TEST(ApiDownload, OAuthRefreshCharged) {
   cloud::OAuthSession oauth("dl-client", 3600.0, 3);
   ApiDownloadOptions options;
   options.oauth = &oauth;
-  DownloadResult with_auth, without_auth;
+  auto& engine = world->download_engine(ProviderKind::kOneDrive);
   const auto client =
       world->intermediate_node(scenario::Intermediate::kUAlberta);
-  world->download_engine(ProviderKind::kOneDrive)
-      .download(client, name.value(),
-                [&](const DownloadResult& r) { with_auth = r; }, options);
-  world->simulator().run();
-  world->download_engine(ProviderKind::kOneDrive)
-      .download(client, name.value(),
-                [&](const DownloadResult& r) { without_auth = r; }, options);
-  world->simulator().run();
+  auto first = engine.download_task(client, name.value(), options);
+  const DownloadResult with_auth = run_task(world->simulator(), first);
+  auto second = engine.download_task(client, name.value(), options);
+  const DownloadResult without_auth = run_task(world->simulator(), second);
   ASSERT_TRUE(with_auth.success && without_auth.success);
   EXPECT_GT(with_auth.duration_s(), without_auth.duration_s());
   EXPECT_EQ(oauth.refresh_count(), 1u);
@@ -113,13 +107,12 @@ TEST(DetourDownload, SumsLegsAndDelivers) {
   auto world = quiet_world();
   auto name = world->stage_object(ProviderKind::kGoogleDrive, 30 * util::kMB);
   ASSERT_TRUE(name.ok());
-  DownloadDetourResult result;
-  world->detour_download_engine(ProviderKind::kGoogleDrive)
-      .download(world->client_node(scenario::Client::kUBC),
-                world->intermediate_node(scenario::Intermediate::kUAlberta),
-                name.value(),
-                [&](const DownloadDetourResult& r) { result = r; });
-  world->simulator().run();
+  auto task = world->detour_download_engine(ProviderKind::kGoogleDrive)
+                  .download_task(world->client_node(scenario::Client::kUBC),
+                                 world->intermediate_node(
+                                     scenario::Intermediate::kUAlberta),
+                                 name.value());
+  const DownloadDetourResult result = run_task(world->simulator(), task);
   ASSERT_TRUE(result.success) << result.error;
   EXPECT_GT(result.leg1_s, 0.0);
   EXPECT_GT(result.leg2_s, 0.0);
@@ -129,13 +122,12 @@ TEST(DetourDownload, SumsLegsAndDelivers) {
 
 TEST(DetourDownload, MissingObjectReportsLegOne) {
   auto world = quiet_world();
-  DownloadDetourResult result;
-  result.success = true;
-  world->detour_download_engine(ProviderKind::kDropbox)
-      .download(world->client_node(scenario::Client::kUBC),
-                world->intermediate_node(scenario::Intermediate::kUAlberta),
-                "ghost", [&](const DownloadDetourResult& r) { result = r; });
-  world->simulator().run();
+  auto task = world->detour_download_engine(ProviderKind::kDropbox)
+                  .download_task(world->client_node(scenario::Client::kUBC),
+                                 world->intermediate_node(
+                                     scenario::Intermediate::kUAlberta),
+                                 "ghost");
+  const DownloadDetourResult result = run_task(world->simulator(), task);
   EXPECT_FALSE(result.success);
   EXPECT_NE(result.error.find("leg 1"), std::string::npos);
 }

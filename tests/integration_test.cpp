@@ -8,6 +8,7 @@
 #include "core/planner.h"
 #include "core/tiv.h"
 #include "measure/campaign.h"
+#include "run_task.h"
 #include "scenario/north_america.h"
 #include "util/thread_pool.h"
 #include "util/units.h"
@@ -52,27 +53,21 @@ TEST(Integration, TivCatalogueFindsUAlbertaDetourForUbcGoogle) {
                              "planetlab01.eecs.umich.edu", kBytes)
                  .value());
   auto world4 = World::create(quiet());
-  bool done = false;
-  world4->api_engine(ProviderKind::kGoogleDrive)
-      .upload(world4->intermediate_node(scenario::Intermediate::kUAlberta),
-              transfer::make_file_mb(100, 1),
-              [&](const transfer::UploadResult& r) {
-                done = true;
-                matrix.set("UAlberta", "GDrive", r.duration_s());
-              });
-  world4->simulator().run();
-  ASSERT_TRUE(done);
+  auto ua_task =
+      world4->api_engine(ProviderKind::kGoogleDrive)
+          .upload_task(
+              world4->intermediate_node(scenario::Intermediate::kUAlberta),
+              transfer::make_file_mb(100, 1));
+  matrix.set("UAlberta", "GDrive",
+             run_task(world4->simulator(), ua_task).duration_s());
   auto world5 = World::create(quiet());
-  done = false;
-  world5->api_engine(ProviderKind::kGoogleDrive)
-      .upload(world5->intermediate_node(scenario::Intermediate::kUMich),
-              transfer::make_file_mb(100, 2),
-              [&](const transfer::UploadResult& r) {
-                done = true;
-                matrix.set("UMich", "GDrive", r.duration_s());
-              });
-  world5->simulator().run();
-  ASSERT_TRUE(done);
+  auto um_task =
+      world5->api_engine(ProviderKind::kGoogleDrive)
+          .upload_task(
+              world5->intermediate_node(scenario::Intermediate::kUMich),
+              transfer::make_file_mb(100, 2));
+  matrix.set("UMich", "GDrive",
+             run_task(world5->simulator(), um_task).duration_s());
 
   const auto violations = core::find_violations(matrix);
   ASSERT_EQ(violations.size(), 1u);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/multihop.h"
+#include "run_task.h"
 #include "scenario/north_america.h"
 #include "util/units.h"
 
@@ -135,18 +136,10 @@ TEST(MultiHop, ScenarioSecondHopNeverBeatsPaperDetour) {
            {"UAlberta", scenario::Intermediate::kUAlberta},
            {"UMich", scenario::Intermediate::kUMich}}) {
     auto world = scenario::World::create(config);
-    bool done = false;
-    double elapsed = 0.0;
-    world->api_engine(cloud::ProviderKind::kGoogleDrive)
-        .upload(world->intermediate_node(node),
-                transfer::make_file_mb(50, 1),
-                [&](const transfer::UploadResult& r) {
-                  done = true;
-                  elapsed = r.duration_s();
-                });
-    world->simulator().run();
-    ASSERT_TRUE(done);
-    m.set(name, "GDrive", elapsed);
+    auto task = world->api_engine(cloud::ProviderKind::kGoogleDrive)
+                    .upload_task(world->intermediate_node(node),
+                                 transfer::make_file_mb(50, 1));
+    m.set(name, "GDrive", run_task(world->simulator(), task).duration_s());
   }
 
   const auto one_hop = best_multihop_route(

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <optional>
 
@@ -475,13 +474,7 @@ TEST(Fabric, FullRecomputeModeMatchesIncrementalRates) {
   // broad version of this check lives in fabric_equivalence_test.cpp).
   Dumbbell inc(100.0), full(100.0);
   full.fabric->set_alloc_mode(Fabric::AllocMode::kFullRecompute);
-  // The default is incremental unless the DROUTE_SHARD_WORKERS env override
-  // picked sharded (the sharded CI leg) — either way, not full recompute,
-  // and either way bit-identical to it.
-  EXPECT_NE(inc.fabric->alloc_mode(), Fabric::AllocMode::kFullRecompute);
-  if (std::getenv("DROUTE_SHARD_WORKERS") == nullptr) {
-    EXPECT_EQ(inc.fabric->alloc_mode(), Fabric::AllocMode::kIncremental);
-  }
+  EXPECT_EQ(inc.fabric->alloc_mode(), Fabric::AllocMode::kIncremental);
 
   FlowOptions options;
   options.charge_slow_start = false;

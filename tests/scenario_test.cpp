@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "measure/campaign.h"
+#include "run_task.h"
 #include "scenario/north_america.h"
 #include "util/units.h"
 
@@ -63,19 +64,12 @@ TEST(Calibration, UAlbertaGoogleLegMatchesIntro) {
   WorldConfig config;
   config.cross_traffic = false;
   auto world = World::create(config);
-  bool done = false;
-  double elapsed = 0.0;
-  world->api_engine(ProviderKind::kGoogleDrive)
-      .upload(world->intermediate_node(Intermediate::kUAlberta),
-              transfer::make_file_mb(100, 9),
-              [&](const transfer::UploadResult& r) {
-                done = true;
-                EXPECT_TRUE(r.success);
-                elapsed = r.duration_s();
-              });
-  world->simulator().run();
-  ASSERT_TRUE(done);
-  EXPECT_NEAR(elapsed, 17.0, 2.6);
+  auto task = world->api_engine(ProviderKind::kGoogleDrive)
+                  .upload_task(world->intermediate_node(Intermediate::kUAlberta),
+                               transfer::make_file_mb(100, 9));
+  const transfer::UploadResult result = run_task(world->simulator(), task);
+  EXPECT_TRUE(result.success);
+  EXPECT_NEAR(result.duration_s(), 17.0, 2.6);
 }
 
 TEST(TableOne, RowA_UbcOrderings) {

@@ -179,18 +179,18 @@ TEST(Scheduler, DrivesRealTransfersThroughTheWorld) {
         std::max<std::uint64_t>(1, job.bytes / util::kMB), 77);
     file.bytes = job.bytes;
     file.name = job.id;
+    const auto report = [done](const auto& joined) {
+      if (!joined.ok()) return done(false, joined.error().message);
+      done(joined.value().success, joined.value().error);
+    };
     if (route == "Direct") {
-      world->api_engine(provider).upload(
-          client, file, [done](const transfer::UploadResult& r) {
-            done(r.success, r.error);
-          });
+      world->api_engine(provider).upload_task(client, file).on_done(report);
     } else {
-      world->detour_engine(provider).transfer(
-          client,
-          world->intermediate_node(scenario::Intermediate::kUAlberta), file,
-          [done](const transfer::DetourResult& r) {
-            done(r.success, r.error);
-          });
+      world->detour_engine(provider)
+          .transfer_task(
+              client,
+              world->intermediate_node(scenario::Intermediate::kUAlberta), file)
+          .on_done(report);
     }
   };
 

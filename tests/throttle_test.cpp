@@ -3,6 +3,7 @@
 
 #include "cloud/provider.h"
 #include "cloud/storage_server.h"
+#include "run_task.h"
 #include "scenario/north_america.h"
 #include "transfer/api_upload.h"
 #include "util/units.h"
@@ -124,11 +125,10 @@ TEST(ThrottleBackoff, UploadRetriesAndSucceeds) {
                          world->provider_node(
                              cloud::ProviderKind::kGoogleDrive));
 
-  UploadResult result;
-  engine.upload(world->intermediate_node(scenario::Intermediate::kUAlberta),
-                make_file_mb(40, 1),
-                [&](const UploadResult& r) { result = r; });
-  world->simulator().run();
+  auto task = engine.upload_task(
+      world->intermediate_node(scenario::Intermediate::kUAlberta),
+      make_file_mb(40, 1));
+  const UploadResult result = run_task(world->simulator(), task);
 
   ASSERT_TRUE(result.success) << result.error;
   EXPECT_GT(result.throttle_retries, 0);
@@ -136,12 +136,12 @@ TEST(ThrottleBackoff, UploadRetriesAndSucceeds) {
   EXPECT_EQ(throttled.object_count(), 1u);
 
   // An unthrottled upload of the same file is strictly faster.
-  UploadResult free_result;
-  world->api_engine(cloud::ProviderKind::kGoogleDrive)
-      .upload(world->intermediate_node(scenario::Intermediate::kUAlberta),
-              make_file_mb(40, 2),
-              [&](const UploadResult& r) { free_result = r; });
-  world->simulator().run();
+  auto free_task =
+      world->api_engine(cloud::ProviderKind::kGoogleDrive)
+          .upload_task(
+              world->intermediate_node(scenario::Intermediate::kUAlberta),
+              make_file_mb(40, 2));
+  const UploadResult free_result = run_task(world->simulator(), free_task);
   ASSERT_TRUE(free_result.success);
   EXPECT_GT(result.duration_s(), free_result.duration_s() * 1.5);
 }
@@ -163,12 +163,10 @@ TEST(ThrottleBackoff, GivesUpAfterMaxRetries) {
   ApiUploadEngine engine(&world->fabric(), &throttled,
                          world->provider_node(cloud::ProviderKind::kDropbox));
 
-  UploadResult result;
-  result.success = true;
-  engine.upload(world->intermediate_node(scenario::Intermediate::kUAlberta),
-                make_file_mb(20, 1),
-                [&](const UploadResult& r) { result = r; });
-  world->simulator().run();
+  auto task = engine.upload_task(
+      world->intermediate_node(scenario::Intermediate::kUAlberta),
+      make_file_mb(20, 1));
+  const UploadResult result = run_task(world->simulator(), task);
   EXPECT_FALSE(result.success);
   EXPECT_NE(result.error.find("rate limited"), std::string::npos);
   EXPECT_EQ(throttled.object_count(), 0u);

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "cloud/storage_server.h"
+#include "run_task.h"
 #include "scenario/north_america.h"
 #include "sim/task.h"
 #include "transfer/api_upload.h"
@@ -102,11 +103,9 @@ TEST(Batch, ThrottledUploadGivesUpAndReleasesBatches) {
   ApiUploadEngine engine(&world->fabric(), &server,
                          world->provider_node(ProviderKind::kGoogleDrive));
 
-  UploadResult result;
-  result.success = true;
-  engine.upload(world->client_node(scenario::Client::kUBC),
-                make_file_mb(10, 1), [&](const UploadResult& r) { result = r; });
-  world->simulator().run();
+  auto task = engine.upload_task(world->client_node(scenario::Client::kUBC),
+                                 make_file_mb(10, 1));
+  const UploadResult result = run_task(world->simulator(), task);
 
   EXPECT_FALSE(result.success);
   EXPECT_NE(result.error.find("rate limited"), std::string::npos)

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "run_task.h"
 #include "scenario/north_america.h"
 #include "transfer/api_upload.h"
 #include "transfer/detour.h"
@@ -39,11 +40,11 @@ TEST(FileSpec, DigestsAreDeterministicAndPositional) {
 TEST(ApiUpload, DeliversAndCommitsObject) {
   auto world = quiet_world();
   const FileSpec file = make_file_mb(10, 1);
-  UploadResult result;
-  world->api_engine(ProviderKind::kGoogleDrive)
-      .upload(world->intermediate_node(scenario::Intermediate::kUAlberta),
-              file, [&](const UploadResult& r) { result = r; });
-  world->simulator().run();
+  auto task = world->api_engine(ProviderKind::kGoogleDrive)
+                  .upload_task(world->intermediate_node(
+                                   scenario::Intermediate::kUAlberta),
+                               file);
+  const UploadResult result = run_task(world->simulator(), task);
   ASSERT_TRUE(result.success) << result.error;
   EXPECT_GT(result.duration_s(), 0.0);
   // 10 MB / 8 MiB chunks = 2 chunks.
@@ -59,13 +60,12 @@ TEST(ApiUpload, TimeScalesWithSize) {
   auto world = quiet_world();
   double t10 = 0.0, t50 = 0.0;
   for (auto [mb, out] : {std::pair<int, double*>{10, &t10}, {50, &t50}}) {
-    UploadResult result;
-    world->api_engine(ProviderKind::kDropbox)
-        .upload(world->intermediate_node(scenario::Intermediate::kUAlberta),
-                make_file_mb(static_cast<std::uint64_t>(mb),
-                             static_cast<std::uint64_t>(mb)),
-                [&](const UploadResult& r) { result = r; });
-    world->simulator().run();
+    auto task = world->api_engine(ProviderKind::kDropbox)
+                    .upload_task(world->intermediate_node(
+                                     scenario::Intermediate::kUAlberta),
+                                 make_file_mb(static_cast<std::uint64_t>(mb),
+                                              static_cast<std::uint64_t>(mb)));
+    const UploadResult result = run_task(world->simulator(), task);
     ASSERT_TRUE(result.success);
     *out = result.duration_s();
   }
@@ -79,16 +79,13 @@ TEST(ApiUpload, OAuthRefreshChargedOnce) {
   ApiUploadOptions options;
   options.oauth = &oauth;
 
-  UploadResult first, second;
   auto& engine = world->api_engine(ProviderKind::kGoogleDrive);
   const auto client =
       world->intermediate_node(scenario::Intermediate::kUAlberta);
-  engine.upload(client, make_file_mb(10, 1),
-                [&](const UploadResult& r) { first = r; }, options);
-  world->simulator().run();
-  engine.upload(client, make_file_mb(10, 2),
-                [&](const UploadResult& r) { second = r; }, options);
-  world->simulator().run();
+  auto first_task = engine.upload_task(client, make_file_mb(10, 1), options);
+  const UploadResult first = run_task(world->simulator(), first_task);
+  auto second_task = engine.upload_task(client, make_file_mb(10, 2), options);
+  const UploadResult second = run_task(world->simulator(), second_task);
   ASSERT_TRUE(first.success && second.success);
   EXPECT_TRUE(first.token_refreshed);
   EXPECT_FALSE(second.token_refreshed);  // token still fresh
@@ -104,12 +101,9 @@ TEST(ApiUpload, FailsCleanlyWhenUnroutable) {
       world->topology()
           .find_link(client, world->node("pl-gw.ucla.edu"))
           .value());
-  UploadResult result;
-  result.success = true;
-  world->api_engine(ProviderKind::kDropbox)
-      .upload(client, make_file_mb(10, 1),
-              [&](const UploadResult& r) { result = r; });
-  world->simulator().run();
+  auto task = world->api_engine(ProviderKind::kDropbox)
+                  .upload_task(client, make_file_mb(10, 1));
+  const UploadResult result = run_task(world->simulator(), task);
   EXPECT_FALSE(result.success);
   EXPECT_FALSE(result.error.empty());
   EXPECT_EQ(world->server(ProviderKind::kDropbox).open_sessions(), 0u);
@@ -118,11 +112,8 @@ TEST(ApiUpload, FailsCleanlyWhenUnroutable) {
 TEST(ApiUpload, LinkFailureMidTransferAbandonsSession) {
   auto world = quiet_world();
   const auto client = world->client_node(scenario::Client::kUBC);
-  UploadResult result;
-  result.success = true;
-  world->api_engine(ProviderKind::kGoogleDrive)
-      .upload(client, make_file_mb(100, 1),
-              [&](const UploadResult& r) { result = r; });
+  auto task = world->api_engine(ProviderKind::kGoogleDrive)
+                  .upload_task(client, make_file_mb(100, 1));
   world->simulator().schedule_in(10.0, [&] {
     world->fabric().fail_link(
         world->topology()
@@ -130,7 +121,7 @@ TEST(ApiUpload, LinkFailureMidTransferAbandonsSession) {
                        world->node("cs-gw.net.ubc.ca"))
             .value());
   });
-  world->simulator().run();
+  const UploadResult result = run_task(world->simulator(), task);
   EXPECT_FALSE(result.success);
   EXPECT_EQ(world->server(ProviderKind::kGoogleDrive).open_sessions(), 0u);
 }
@@ -140,12 +131,11 @@ TEST(ApiUpload, LinkFailureMidTransferAbandonsSession) {
 TEST(RsyncEngine, PushMovesPayloadPlusFraming) {
   auto world = quiet_world();
   RsyncEngine engine(&world->fabric());
-  RsyncResult result;
-  engine.push(world->client_node(scenario::Client::kUBC),
-              world->intermediate_node(scenario::Intermediate::kUAlberta),
-              make_file_mb(10, 3),
-              [&](const RsyncResult& r) { result = r; });
-  world->simulator().run();
+  auto task = engine.push_task(
+      world->client_node(scenario::Client::kUBC),
+      world->intermediate_node(scenario::Intermediate::kUAlberta),
+      make_file_mb(10, 3));
+  const RsyncResult result = run_task(world->simulator(), task);
   ASSERT_TRUE(result.success) << result.error;
   EXPECT_GT(result.forward_wire_bytes, 10 * util::kMB);
   EXPECT_LT(result.forward_wire_bytes, 10 * util::kMB + 10000);
@@ -156,18 +146,14 @@ TEST(RsyncEngine, PushMovesPayloadPlusFraming) {
 TEST(RsyncEngine, BasisOverlapShrinksForwardBytes) {
   auto world = quiet_world();
   RsyncEngine engine(&world->fabric());
-  RsyncResult cold, warm;
   RsyncOptions warm_options;
   warm_options.basis_overlap = 0.9;
-  engine.push(world->client_node(scenario::Client::kUBC),
-              world->intermediate_node(scenario::Intermediate::kUAlberta),
-              make_file_mb(10, 4), [&](const RsyncResult& r) { cold = r; });
-  world->simulator().run();
-  engine.push(world->client_node(scenario::Client::kUBC),
-              world->intermediate_node(scenario::Intermediate::kUAlberta),
-              make_file_mb(10, 4), [&](const RsyncResult& r) { warm = r; },
-              warm_options);
-  world->simulator().run();
+  const auto src = world->client_node(scenario::Client::kUBC);
+  const auto dst = world->intermediate_node(scenario::Intermediate::kUAlberta);
+  auto cold_task = engine.push_task(src, dst, make_file_mb(10, 4));
+  const RsyncResult cold = run_task(world->simulator(), cold_task);
+  auto warm_task = engine.push_task(src, dst, make_file_mb(10, 4), warm_options);
+  const RsyncResult warm = run_task(world->simulator(), warm_task);
   ASSERT_TRUE(cold.success && warm.success);
   EXPECT_LT(warm.forward_wire_bytes, cold.forward_wire_bytes / 5);
   EXPECT_GT(warm.reverse_wire_bytes, cold.reverse_wire_bytes);
@@ -178,13 +164,12 @@ TEST(RsyncEngine, BasisOverlapShrinksForwardBytes) {
 
 TEST(Detour, StoreAndForwardSumsLegs) {
   auto world = quiet_world();
-  DetourResult result;
-  world->detour_engine(ProviderKind::kGoogleDrive)
-      .transfer(world->client_node(scenario::Client::kUBC),
-                world->intermediate_node(scenario::Intermediate::kUAlberta),
-                make_file_mb(20, 5),
-                [&](const DetourResult& r) { result = r; });
-  world->simulator().run();
+  auto task = world->detour_engine(ProviderKind::kGoogleDrive)
+                  .transfer_task(world->client_node(scenario::Client::kUBC),
+                                 world->intermediate_node(
+                                     scenario::Intermediate::kUAlberta),
+                                 make_file_mb(20, 5));
+  const DetourResult result = run_task(world->simulator(), task);
   ASSERT_TRUE(result.success) << result.error;
   EXPECT_GT(result.leg1_s, 0.0);
   EXPECT_GT(result.leg2_s, 0.0);
@@ -194,15 +179,14 @@ TEST(Detour, StoreAndForwardSumsLegs) {
 TEST(Detour, PipelinedBeatsStoreAndForward) {
   auto run = [](DetourMode mode) {
     auto world = quiet_world();
-    DetourResult result;
     DetourOptions options;
     options.mode = mode;
-    world->detour_engine(ProviderKind::kGoogleDrive)
-        .transfer(world->client_node(scenario::Client::kUBC),
-                  world->intermediate_node(scenario::Intermediate::kUAlberta),
-                  make_file_mb(60, 6),
-                  [&](const DetourResult& r) { result = r; }, options);
-    world->simulator().run();
+    auto task = world->detour_engine(ProviderKind::kGoogleDrive)
+                    .transfer_task(world->client_node(scenario::Client::kUBC),
+                                   world->intermediate_node(
+                                       scenario::Intermediate::kUAlberta),
+                                   make_file_mb(60, 6), options);
+    const DetourResult result = run_task(world->simulator(), task);
     EXPECT_TRUE(result.success) << result.error;
     return result.duration_s();
   };
@@ -216,14 +200,14 @@ TEST(Detour, PipelinedBeatsStoreAndForward) {
 TEST(Detour, PipelinedCommitsIntactObject) {
   auto world = quiet_world();
   const FileSpec file = make_file_mb(30, 7);
-  DetourResult result;
   DetourOptions options;
   options.mode = DetourMode::kPipelined;
-  world->detour_engine(ProviderKind::kOneDrive)
-      .transfer(world->client_node(scenario::Client::kUBC),
-                world->intermediate_node(scenario::Intermediate::kUAlberta),
-                file, [&](const DetourResult& r) { result = r; }, options);
-  world->simulator().run();
+  auto task = world->detour_engine(ProviderKind::kOneDrive)
+                  .transfer_task(world->client_node(scenario::Client::kUBC),
+                                 world->intermediate_node(
+                                     scenario::Intermediate::kUAlberta),
+                                 file, options);
+  const DetourResult result = run_task(world->simulator(), task);
   ASSERT_TRUE(result.success) << result.error;
   const auto object = world->server(ProviderKind::kOneDrive).lookup(file.name);
   ASSERT_TRUE(object.has_value());
@@ -238,14 +222,12 @@ TEST(Detour, FailureInLegOneReported) {
           .find_link(world->node("planetlab1.cs.ubc.ca"),
                      world->node("cs-gw.net.ubc.ca"))
           .value());
-  DetourResult result;
-  result.success = true;
-  world->detour_engine(ProviderKind::kGoogleDrive)
-      .transfer(client,
-                world->intermediate_node(scenario::Intermediate::kUAlberta),
-                make_file_mb(10, 8),
-                [&](const DetourResult& r) { result = r; });
-  world->simulator().run();
+  auto task = world->detour_engine(ProviderKind::kGoogleDrive)
+                  .transfer_task(client,
+                                 world->intermediate_node(
+                                     scenario::Intermediate::kUAlberta),
+                                 make_file_mb(10, 8));
+  const DetourResult result = run_task(world->simulator(), task);
   EXPECT_FALSE(result.success);
   EXPECT_NE(result.error.find("leg 1"), std::string::npos);
 }
@@ -266,12 +248,11 @@ TEST(ParallelPush, StreamsDefeatPerFlowPolicer) {
     config.cross_traffic = false;
     auto world = scenario::World::create(config);
     ParallelPushEngine engine(&world->fabric());
-    ParallelPushResult result;
-    engine.push(world->client_node(scenario::Client::kUBC),
-                world->provider_node(cloud::ProviderKind::kGoogleDrive),
-                make_file_mb(40, 1), streams,
-                [&](const ParallelPushResult& r) { result = r; });
-    world->simulator().run();
+    auto task = engine.push_task(
+        world->client_node(scenario::Client::kUBC),
+        world->provider_node(cloud::ProviderKind::kGoogleDrive),
+        make_file_mb(40, 1), streams);
+    const ParallelPushResult result = run_task(world->simulator(), task);
     EXPECT_TRUE(result.success) << result.error;
     return result.duration_s();
   };
@@ -288,12 +269,11 @@ TEST(ParallelPush, BoundedByLinkCapacityNotStreams) {
     config.cross_traffic = false;
     auto world = scenario::World::create(config);
     ParallelPushEngine engine(&world->fabric());
-    ParallelPushResult result;
-    engine.push(world->client_node(scenario::Client::kUBC),
-                world->intermediate_node(scenario::Intermediate::kUAlberta),
-                make_file_mb(40, 2), streams,
-                [&](const ParallelPushResult& r) { result = r; });
-    world->simulator().run();
+    auto task = engine.push_task(
+        world->client_node(scenario::Client::kUBC),
+        world->intermediate_node(scenario::Intermediate::kUAlberta),
+        make_file_mb(40, 2), streams);
+    const ParallelPushResult result = run_task(world->simulator(), task);
     EXPECT_TRUE(result.success);
     return result.duration_s();
   };
@@ -308,12 +288,11 @@ TEST(ParallelPush, SingleStreamMatchesPlainFlow) {
   config.cross_traffic = false;
   auto world = scenario::World::create(config);
   ParallelPushEngine engine(&world->fabric());
-  ParallelPushResult result;
-  engine.push(world->client_node(scenario::Client::kUBC),
-              world->intermediate_node(scenario::Intermediate::kUAlberta),
-              make_file_mb(20, 3), 1,
-              [&](const ParallelPushResult& r) { result = r; });
-  world->simulator().run();
+  auto task = engine.push_task(
+      world->client_node(scenario::Client::kUBC),
+      world->intermediate_node(scenario::Intermediate::kUAlberta),
+      make_file_mb(20, 3), 1);
+  const ParallelPushResult result = run_task(world->simulator(), task);
   ASSERT_TRUE(result.success);
   EXPECT_EQ(result.streams, 1);
   EXPECT_NEAR(result.slowest_stream_s, result.duration_s(), 1e-9);
@@ -328,11 +307,10 @@ TEST(ParallelPush, MoreStreamsThanBytesIsClamped) {
   tiny.name = "tiny";
   tiny.bytes = 3;
   tiny.seed = 1;
-  ParallelPushResult result;
-  engine.push(world->client_node(scenario::Client::kUBC),
-              world->intermediate_node(scenario::Intermediate::kUAlberta),
-              tiny, 16, [&](const ParallelPushResult& r) { result = r; });
-  world->simulator().run();
+  auto task = engine.push_task(
+      world->client_node(scenario::Client::kUBC),
+      world->intermediate_node(scenario::Intermediate::kUAlberta), tiny, 16);
+  const ParallelPushResult result = run_task(world->simulator(), task);
   EXPECT_TRUE(result.success);
 }
 
@@ -348,14 +326,12 @@ TEST(ParallelPush, FailureReportedOnce) {
           .value());
   ParallelPushEngine engine(&world->fabric());
   int calls = 0;
-  ParallelPushResult result;
-  engine.push(world->client_node(scenario::Client::kUBC),
-              world->intermediate_node(scenario::Intermediate::kUAlberta),
-              make_file_mb(10, 4), 4, [&](const ParallelPushResult& r) {
-                ++calls;
-                result = r;
-              });
-  world->simulator().run();
+  auto task = engine.push_task(
+      world->client_node(scenario::Client::kUBC),
+      world->intermediate_node(scenario::Intermediate::kUAlberta),
+      make_file_mb(10, 4), 4);
+  task.on_done([&calls](const auto&) { ++calls; });
+  const ParallelPushResult result = run_task(world->simulator(), task);
   EXPECT_EQ(calls, 1);
   EXPECT_FALSE(result.success);
 }
