@@ -55,7 +55,8 @@ struct Options {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--list] [--quick] [--filter SUBSTR]\n"
-               "          [--repeats N] [--warmup N] [--json PATH]\n",
+               "          [--repeats N] [--warmup N] [--json PATH]\n"
+               "          [--trace-out PATH] [--metrics-out PATH]\n",
                argv0);
   return 2;
 }
@@ -86,6 +87,9 @@ bool parse_args(int argc, char** argv, Options* options) {
       const char* v = next();
       if (v == nullptr) return false;
       options->json_path = v;
+    } else if (arg == "--trace-out" || arg == "--metrics-out") {
+      // Read by the observability session in common.cpp; skip the path.
+      if (next() == nullptr) return false;
     } else {
       return false;
     }

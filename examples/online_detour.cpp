@@ -3,7 +3,9 @@
 // upload sessions onto the UAlberta relay, rides out a chaos link failure
 // on the CANARIE detour leg (the estimator resets, an out-of-band epoch
 // re-learns the new regime), and walks back onto the relay once the link
-// is restored. Every decision lands in a deterministic DecisionTrace.
+// is restored. Every decision lands in a deterministic DecisionTrace, and a
+// RouteMonitor on the UBC -> UAlberta leg logs what the failure did to the
+// path itself.
 #include <cstdio>
 #include <string>
 
@@ -11,6 +13,7 @@
 #include "chaos/plan.h"
 #include "ctrl/controller.h"
 #include "scenario/north_america.h"
+#include "trace/route_monitor.h"
 #include "util/units.h"
 
 namespace {
@@ -79,6 +82,10 @@ int main() {
     controller.on_network_event(chaos::event_kind_name(event.kind));
   });
 
+  // Route-level view of the detour leg, snapshotted after each phase.
+  trace::RouteMonitor routes(&world->tracer(), &world->topology());
+  routes.watch(ubc, world->node("cluster.cs.ualberta.ca"));
+
   std::printf("phase 1: the controller probes and finds the TIV\n");
   controller.start();
   world->simulator().run_until(world->simulator().now() + 12.0);
@@ -90,6 +97,7 @@ int main() {
                 flag.path.label().c_str(), flag.path_mbps, flag.direct_mbps);
   }
   steered_session(*world, controller, 50 * util::kMB);
+  routes.snapshot();
 
   std::printf("\nphase 2: the Vancouver<->Edmonton CANARIE link fails\n");
   const auto canarie_link = world->topology().find_link(
@@ -103,6 +111,7 @@ int main() {
   world->simulator().run_until(world->simulator().now() + 12.0);
   print_estimates(controller, *world, ubc, gdrive);
   steered_session(*world, controller, 50 * util::kMB);
+  routes.snapshot();
 
   std::printf("\nphase 3: the link is repaired\n");
   injector.apply({world->simulator().now(), chaos::EventKind::kLinkRestore,
@@ -110,8 +119,11 @@ int main() {
   world->simulator().run_until(world->simulator().now() + 12.0);
   print_estimates(controller, *world, ubc, gdrive);
   steered_session(*world, controller, 50 * util::kMB);
+  routes.snapshot();
 
   controller.stop();
+  std::printf("\nroute monitor history (UBC -> UAlberta):\n%s",
+              routes.render_history().c_str());
   std::printf("\ndecision trace (deterministic; same seed => same bytes):\n");
   const std::string trace = controller.trace().serialize();
   // The full trace logs every probe; print just the steer/event lines.

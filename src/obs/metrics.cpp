@@ -114,12 +114,6 @@ const std::vector<double>& size_bounds_bytes() {
   return bounds;
 }
 
-const std::vector<double>& rate_bounds_mbps() {
-  // 0.1 Mbps doubling up to ~6554 Mbps.
-  static const std::vector<double> bounds = geometric(0.1, 2.0, 17);
-  return bounds;
-}
-
 const std::vector<double>& ratio_bounds() {
   static const std::vector<double> bounds = [] {
     std::vector<double> edges;
@@ -191,20 +185,6 @@ std::vector<const Histogram*> Registry::histograms() const {
   out.reserve(histograms_.size());
   for (const auto& [name, histogram] : histograms_) {
     out.push_back(histogram.get());
-  }
-  return out;
-}
-
-std::vector<const Histogram*> Registry::histograms_with_prefix(
-    std::string_view prefix) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<const Histogram*> out;
-  for (const auto& [name, histogram] : histograms_) {
-    if (name.size() > prefix.size() + 1 &&
-        name.compare(0, prefix.size(), prefix) == 0 &&
-        name[prefix.size()] == '.') {
-      out.push_back(histogram.get());
-    }
   }
   return out;
 }

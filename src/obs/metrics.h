@@ -110,7 +110,6 @@ class Histogram {
 /// Default bucket edges per unit family (geometric; see DESIGN.md §9).
 const std::vector<double>& duration_bounds_s();   // 1 ms .. ~4200 s
 const std::vector<double>& size_bounds_bytes();   // 1 KiB .. 16 GiB
-const std::vector<double>& rate_bounds_mbps();    // 0.1 .. ~6554 Mbps
 const std::vector<double>& ratio_bounds();        // 0.05 .. 1.00
 
 /// Owns every instrument; lookups are keyed by full metric name and create
@@ -132,11 +131,6 @@ class Registry {
   std::vector<const Counter*> counters() const;
   std::vector<const Gauge*> gauges() const;
   std::vector<const Histogram*> histograms() const;
-  /// Histograms whose name starts with `prefix` + '.', e.g. prefix
-  /// "probe.throughput" matches "probe.throughput.direct". Consumed by
-  /// core::DynamicMonitor::poll().
-  std::vector<const Histogram*> histograms_with_prefix(
-      std::string_view prefix) const;
 
  private:
   mutable std::mutex mutex_;

@@ -3,13 +3,14 @@
 // monitor and react to dynamic bottlenecks.
 #include <gtest/gtest.h>
 
-#include "core/monitor.h"
 #include "core/overlay.h"
 #include "core/planner.h"
 #include "core/tiv.h"
+#include "ctrl/estimator.h"
 #include "measure/campaign.h"
 #include "run_task.h"
 #include "scenario/north_america.h"
+#include "stats/overlap.h"
 #include "util/thread_pool.h"
 #include "util/units.h"
 
@@ -146,41 +147,47 @@ TEST(Integration, OverlayWorkflowInstallsPlannerDecisions) {
 }
 
 TEST(Integration, MonitorDetectsInjectedBottleneckShift) {
-  // Probe UBC->UAlberta repeatedly; then cut the UAlberta research uplink
-  // to a crawl by failing the wide path (link failure forces re-route or
-  // collapse) and verify the monitor flags the route.
-  core::DynamicMonitor monitor;
+  // Probe UBC->UAlberta repeatedly; then tighten the UBC campus middlebox
+  // to a crawl (a new bottleneck appearing on the path) and verify the path
+  // estimator tells the two regimes apart under the paper's overlap test.
+  ctrl::PathEstimator estimator;
   constexpr std::uint64_t kProbe = 5 * util::kMB;
+  const ctrl::PathSpec direct;
+  std::uint64_t epoch = 0;
+  const auto probe = [&](World& world) {
+    const net::NodeId ubc = world.node("planetlab1.cs.ubc.ca");
+    const net::NodeId ua = world.node("cluster.cs.ualberta.ca");
+    const double t =
+        world.run_rsync("planetlab1.cs.ubc.ca", "cluster.cs.ualberta.ca",
+                        kProbe)
+            .value();
+    estimator.observe(ubc, ua, direct, kProbe * 8e-6 / t, t, ++epoch);
+    return estimator.lookup(ubc, ua, direct)->interval();
+  };
 
+  stats::Interval healthy;
   for (int i = 0; i < 4; ++i) {
     auto world = World::create(quiet());
-    const double t =
-        world->run_rsync("planetlab1.cs.ubc.ca", "cluster.cs.ualberta.ca",
-                         kProbe)
-            .value();
-    monitor.observe("ubc->ualberta", kProbe * 8e-6 / t);
+    healthy = probe(*world);
   }
-  ASSERT_FALSE(monitor.is_degraded("ubc->ualberta"));
-  const double healthy = monitor.baseline_mbps("ubc->ualberta").value();
   // Effective probe throughput sits below the 44 Mbps slice cap because a
   // 5 MB probe amortizes handshakes and slow start poorly.
-  EXPECT_GT(healthy, 28.0);
-  EXPECT_LT(healthy, 46.0);
+  EXPECT_GT(healthy.mean, 28.0);
+  EXPECT_LT(healthy.mean, 46.0);
 
-  // Degraded worlds: tighten the UBC PlanetLab shaping to a crawl (a new
-  // bottleneck appearing on the path) and feed real probe observations.
+  // A network event: the estimator forgets the old regime, as the
+  // controller does on chaos events, and learns the degraded one.
+  estimator.reset();
+  stats::Interval degraded;
   for (int i = 0; i < 3; ++i) {
     auto world = World::create(quiet());
     ASSERT_TRUE(world->topology()
                     .set_middlebox(world->node("cs-gw.net.ubc.ca"), 4.0)
                     .ok());
-    const double t =
-        world->run_rsync("planetlab1.cs.ubc.ca", "cluster.cs.ualberta.ca",
-                         kProbe)
-            .value();
-    monitor.observe("ubc->ualberta", kProbe * 8e-6 / t);
+    degraded = probe(*world);
   }
-  EXPECT_TRUE(monitor.is_degraded("ubc->ualberta"));
+  EXPECT_EQ(stats::judge_higher_better(healthy, degraded).significance,
+            stats::Significance::kCandidateBetter);
 }
 
 TEST(Integration, CampaignGridRunsInParallelDeterministically) {
