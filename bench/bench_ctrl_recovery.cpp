@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "chaos/injector.h"
@@ -29,11 +30,12 @@
 #include "ctrl/steering.h"
 #include "harness.h"
 #include "net/fabric.h"
-#include "net/fabric_await.h"
 #include "net/routing.h"
 #include "net/topology.h"
 #include "sim/simulator.h"
 #include "sim/task.h"
+#include "transfer/batch.h"
+#include "transfer/sim_transport.h"
 #include "util/units.h"
 
 namespace droute::bench {
@@ -106,7 +108,8 @@ chaos::Plan storm(const RecoveryWorld& world) {
 /// One upload session: ask the steering source for a path at start_s, run
 /// the legs store-and-forward, record end-to-end goodput (0 on any failed
 /// leg) and feed the outcome back.
-sim::Task<void> session(sim::Simulator& simulator, net::Fabric& fabric,
+sim::Task<void> session(sim::Simulator& simulator,
+                        transfer::TransferEngine& xfer,
                         ctrl::Steering& steering, net::NodeId client,
                         net::NodeId provider, double start_s,
                         double* out_mbps) {
@@ -121,15 +124,13 @@ sim::Task<void> session(sim::Simulator& simulator, net::Fabric& fabric,
   hops.push_back(provider);
   bool ok = decision.routable;
   for (std::size_t i = 0; ok && i + 1 < hops.size(); ++i) {
-    net::FlowOptions options;
-    options.label = "bench.ctrl_session";
-    auto leg =
-        net::transfer(fabric, hops[i], hops[i + 1], kSessionBytes, options);
-    const auto stats = co_await leg;
-    if (!stats.ok() ||
-        stats.value().outcome != net::FlowOutcome::kCompleted) {
-      ok = false;
-    }
+    transfer::TransferRequest request;
+    request.source_node = hops[i];
+    request.target_id = xfer.ensure_node_segment(hops[i + 1]);
+    request.length = kSessionBytes;
+    request.label = "bench.ctrl_session";
+    auto leg = xfer.submit(std::move(request));
+    ok = co_await leg;
   }
   const double elapsed = simulator.now() - start;
   *out_mbps = ok && elapsed > 0.0
@@ -186,11 +187,13 @@ std::vector<double> run_arm(Arm arm) {
 
   injector.arm(storm(world));
 
+  transfer::SimTransport transport(world.fabric.get());
+  transfer::TransferEngine xfer(&transport);
   std::vector<double> mbps(kSessions, 0.0);
   std::vector<sim::Task<void>> sessions;
   sessions.reserve(kSessions);
   for (int i = 0; i < kSessions; ++i) {
-    sessions.push_back(session(world.simulator, *world.fabric, *steering,
+    sessions.push_back(session(world.simulator, xfer, *steering,
                                world.client, world.provider,
                                kFirstSessionS + kSessionSpacingS * i,
                                &mbps[static_cast<std::size_t>(i)]));

@@ -8,6 +8,8 @@
 #include <cstring>
 #include <numeric>
 
+#include "obs/recorder.h"
+
 namespace droute::bench {
 
 std::vector<BenchCase>& registry() {
@@ -54,7 +56,7 @@ struct Options {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--list] [--quick] [--filter SUBSTR]\n"
+               "usage: %s [--list] [--quick] [--filter NAME]\n"
                "          [--repeats N] [--warmup N] [--json PATH]\n"
                "          [--trace-out PATH] [--metrics-out PATH]\n",
                argv0);
@@ -141,11 +143,16 @@ int bench_main(int argc, char** argv, const std::string& default_json) {
     return 0;
   }
 
+  // A filter naming a case exactly runs that case alone (so a case whose
+  // name prefixes another's can run by itself); otherwise it is a substring.
+  const bool exact = std::any_of(
+      registry().begin(), registry().end(),
+      [&](const BenchCase& c) { return c.name == options.filter; });
   using clock = std::chrono::steady_clock;
   std::vector<CaseReport> reports;
   for (const BenchCase& c : registry()) {
-    if (!options.filter.empty() &&
-        c.name.find(options.filter) == std::string::npos) {
+    if (exact ? c.name != options.filter
+              : c.name.find(options.filter) == std::string::npos) {
       continue;
     }
     BenchContext ctx(options.quick);
@@ -158,12 +165,21 @@ int bench_main(int argc, char** argv, const std::string& default_json) {
     for (int i = 0; i < options.warmup; ++i) ctx.work_();
     std::vector<double> samples_ms;
     samples_ms.reserve(static_cast<std::size_t>(options.repeats));
+    // With --trace-out/--metrics-out a recorder is installed: each timed
+    // sample becomes one wall-clock span, so the trace is never empty.
+    const obs::Recorder* recorder = obs::recorder();
     for (int i = 0; i < options.repeats; ++i) {
+      const double span_start =
+          recorder != nullptr ? recorder->wall_now_s() : 0.0;
       const auto t0 = clock::now();
       ctx.work_();
       const auto t1 = clock::now();
       samples_ms.push_back(
           std::chrono::duration<double, std::milli>(t1 - t0).count());
+      if (recorder != nullptr) {
+        obs::emit_span("bench.sample_run", obs::Clock::kWall, span_start,
+                       recorder->wall_now_s(), {{"case", c.name}});
+      }
     }
 
     CaseReport report;

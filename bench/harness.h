@@ -23,13 +23,17 @@
 //
 // CLI (shared by every perf binary):
 //   --list            print case names and units, run nothing
-//   --filter SUBSTR   only run cases whose name contains SUBSTR
+//   --filter NAME     only run the case named NAME; a NAME that is no case's
+//                     full name runs every case whose name contains it
 //   --quick           1 repeat, no warmup, ctx.quick() == true (cases are
 //                     expected to shrink their workload) — the bench.smoke
 //                     ctest entry uses this to catch harness bitrot
 //   --repeats N / --warmup N
 //   --json PATH       where to write the report (default: the name passed
 //                     to bench_main, in the current directory)
+//   --trace-out PATH / --metrics-out PATH
+//                     read by bench/common.cpp; with a recorder installed
+//                     each timed sample is a `bench.sample_run` wall span
 //
 // JSON schema "droute-bench-v1" (validated by tools/validate_bench.py):
 //   { "schema": "droute-bench-v1", "binary": ..., "quick": bool,

@@ -10,6 +10,7 @@
 
 #include "chaos/injector.h"
 #include "ctrl/controller.h"
+#include "ctrl/steered.h"
 #include "check/fabric_audit.h"
 #include "check/sim_audit.h"
 #include "check/valley_free.h"
@@ -23,7 +24,6 @@
 #include "transfer/detour.h"
 #include "transfer/parallel.h"
 #include "transfer/rsync_engine.h"
-#include "transfer/steered.h"
 
 namespace droute::chaos {
 
@@ -157,7 +157,7 @@ struct Stack {
   transfer::ApiUploadEngine* api = nullptr;
   transfer::DetourEngine* detour = nullptr;
   transfer::RsyncEngine* rsync = nullptr;
-  transfer::SteeredUploadEngine* steered = nullptr;  // only with kSteered work
+  ctrl::SteeredUploadEngine* steered = nullptr;  // only with kSteered work
   transfer::ParallelPushEngine* parallel = nullptr;  // kBatched striped pushes
   int server_node = 0;
 };
@@ -307,7 +307,7 @@ RunReport run_case(const Case& c, const RunOptions& options) {
         return item.kind == WorkKind::kSteered;
       });
   std::unique_ptr<ctrl::Controller> controller;
-  std::unique_ptr<transfer::SteeredUploadEngine> steered;
+  std::unique_ptr<ctrl::SteeredUploadEngine> steered;
   if (has_steered) {
     controller = std::make_unique<ctrl::Controller>(simulator, fabric, routes);
     controller->set_provider(c.server_node);
@@ -340,7 +340,7 @@ RunReport run_case(const Case& c, const RunOptions& options) {
             prev = hop;
           }
         });
-    steered = std::make_unique<transfer::SteeredUploadEngine>(
+    steered = std::make_unique<ctrl::SteeredUploadEngine>(
         &fabric, &api, controller.get());
     controller->start();
   }
@@ -429,16 +429,18 @@ RunReport run_case(const Case& c, const RunOptions& options) {
     fail("session_leak", std::to_string(server.open_sessions()) +
                              " upload sessions still open after drain");
   }
-  // Every engine's batch layer must have settled every BatchHandle: a
-  // cancelled or abandoned batch that failed to release its requests shows
-  // up here as a stuck transfer.batch_inflight count.
+  // Every engine's batch layer (the controller's probe engine included)
+  // must have settled every BatchHandle: a cancelled or abandoned batch
+  // that failed to release its requests shows up here as a stuck
+  // transfer.batch_inflight count.
   const std::size_t batch_leak =
       api.batch_engine().batches_inflight() +
       detour.batch_engine().batches_inflight() +
       detour.rsync().batch_engine().batches_inflight() +
       rsync.batch_engine().batches_inflight() +
       parallel.batch_engine().batches_inflight() +
-      (steered ? steered->rsync().batch_engine().batches_inflight() : 0);
+      (steered ? steered->rsync().batch_engine().batches_inflight() : 0) +
+      (controller ? controller->batch_engine().batches_inflight() : 0);
   if (batch_leak != 0) {
     fail("batch_leak", std::to_string(batch_leak) +
                            " transfer batches still inflight after drain");

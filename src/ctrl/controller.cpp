@@ -4,18 +4,18 @@
 #include <utility>
 
 #include "check/contract.h"
-#include "net/fabric_await.h"
 
 namespace droute::ctrl {
 
 Controller::Controller(sim::Simulator& simulator, net::Fabric& fabric,
                        const net::RouteTable& routes, ControllerConfig config)
     : simulator_(&simulator),
-      fabric_(&fabric),
       routes_(&routes),
       config_(config),
       estimator_(config.estimator),
       policy_(config.policy, config.cost),
+      transport_(&fabric),
+      xfer_(&transport_),
       epochs_total_(obs::counter("ctrl.epochs_total")),
       probes_launched_total_(obs::counter("ctrl.probes_launched_total")),
       probes_failed_total_(obs::counter("ctrl.probes_failed_total")),
@@ -180,22 +180,19 @@ sim::Task<void> Controller::probe_path(net::NodeId client, PathSpec path) {
   hops.push_back(provider_);
 
   bool ok = true;
-  for (std::size_t i = 0; i + 1 < hops.size(); ++i) {
-    net::FlowOptions options;
-    options.label = "ctrl.probe";
+  for (std::size_t i = 0; ok && i + 1 < hops.size(); ++i) {
+    transfer::TransferRequest request;
+    request.source_node = hops[i];
+    request.target_id = xfer_.ensure_node_segment(hops[i + 1]);
+    request.length = config_.probe_bytes;
+    request.label = "ctrl.probe";
     // Probes estimate steady-state available bandwidth from a small
     // transfer; charging the TCP ramp would bias fast paths low (a 2 MB
     // probe over a Gbps leg measures mostly slow start) and the bias would
     // fight the session-goodput samples folded in by observe_session.
-    options.charge_slow_start = false;
-    auto leg = net::transfer(*fabric_, hops[i], hops[i + 1],
-                             config_.probe_bytes, options);
-    const auto stats = co_await leg;
-    if (!stats.ok() ||
-        stats.value().outcome != net::FlowOutcome::kCompleted) {
-      ok = false;
-      break;
-    }
+    request.charge_slow_start = false;
+    auto leg = xfer_.submit(std::move(request));
+    ok = co_await leg;
   }
 
   const double elapsed = simulator_->now() - start;

@@ -16,10 +16,11 @@
 // so two same-seed runs of the same scenario produce byte-identical
 // DecisionTrace output (asserted by ctrl_test).
 //
-// Lifetime: probes are sim::Tasks; call stop() (cancelling the epoch timer
-// and all in-flight probes) before the Simulator is torn down or before
-// asserting quiescence. The destructor calls stop() as a backstop, which
-// is only safe while the Simulator is still alive.
+// Lifetime: probes are sim::Tasks whose legs ride the controller's own
+// batch engine (label "ctrl.probe"); call stop() (cancelling the epoch
+// timer and all in-flight probes) before the Simulator is torn down or
+// before asserting quiescence. The destructor calls stop() as a backstop,
+// which is only safe while the Simulator is still alive.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +38,8 @@
 #include "obs/recorder.h"
 #include "sim/simulator.h"
 #include "sim/task.h"
+#include "transfer/batch.h"
+#include "transfer/sim_transport.h"
 
 namespace droute::ctrl {
 
@@ -100,6 +103,10 @@ class Controller final : public Steering {
   const DecisionTrace& trace() const { return trace_; }
   const PathEstimator& estimator() const { return estimator_; }
 
+  /// The batch engine every probe leg rides; the chaos leak audit holds
+  /// its batches_inflight() at zero after stop() and a drain.
+  const transfer::TransferEngine& batch_engine() const { return xfer_; }
+
   /// Deterministic candidate enumeration for `client`: direct first, then
   /// 1-hop relays in registration order, then ordered distinct chains of
   /// increasing length up to max_relay_hops.
@@ -114,7 +121,6 @@ class Controller final : public Steering {
   sim::Task<void> probe_path(net::NodeId client, PathSpec path);
 
   sim::Simulator* simulator_;
-  net::Fabric* fabric_;
   const net::RouteTable* routes_;
   ControllerConfig config_;
 
@@ -130,6 +136,9 @@ class Controller final : public Steering {
   std::uint64_t epoch_ = 0;
   bool started_ = false;
   sim::EventId tick_event_;
+  // Declared before probes_: the engine outlives every probe batch.
+  transfer::SimTransport transport_;
+  transfer::TransferEngine xfer_;
   std::vector<sim::Task<void>> probes_;  // analyze: allow(coroutine-task-field) — stop() cancels all probes and every owner tears the controller down before its Simulator (header contract)
 
   obs::Counter* epochs_total_;

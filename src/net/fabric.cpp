@@ -18,6 +18,9 @@ constexpr double kRateEps = 1e-6;  // bytes/sec
 
 constexpr std::uint32_t kNoSlot = std::numeric_limits<std::uint32_t>::max();
 
+// Base RTT added to propagation in rtt_s() (host stacks, serialization).
+constexpr double kBaseRttS = 0.003;
+
 // A flow counts as finished once its residue would drain within a
 // nanosecond: scheduling an event that close to `now` can round to exactly
 // `now` in double precision, which would otherwise livelock the event loop
@@ -53,7 +56,7 @@ util::Result<double> Fabric::rtt_s(NodeId a, NodeId b) const {
   auto back = routes_->route(b, a);
   if (!back.ok()) return util::Error{back.error()};
   return routes_->one_way_delay_s(forward.value()) +
-         routes_->one_way_delay_s(back.value()) + base_rtt_s_;
+         routes_->one_way_delay_s(back.value()) + kBaseRttS;
 }
 
 std::uint32_t Fabric::slot_of(FlowId id) const {

@@ -48,13 +48,6 @@ std::string json_escape(std::string_view text) {
   return out;
 }
 
-/// Prometheus metric name: `droute_` + name with '.' mangled to '_'.
-std::string prom_name(std::string_view name) {
-  std::string out = "droute_";
-  for (const char c : name) out += c == '.' ? '_' : c;
-  return out;
-}
-
 }  // namespace
 
 std::string chrome_trace_json(const Recorder& recorder) {
@@ -136,37 +129,6 @@ std::string metrics_csv(const Registry& registry) {
       out += "histogram," + name + ",bucket_le_" + edge + "," +
              std::to_string(snap.counts[bucket]) + "\n";
     }
-  }
-  return out;
-}
-
-std::string prometheus_text(const Registry& registry) {
-  std::string out;
-  for (const Counter* counter : registry.counters()) {
-    const std::string name = prom_name(counter->name());
-    out += "# TYPE " + name + " counter\n";
-    out += name + " " + std::to_string(counter->value()) + "\n";
-  }
-  for (const Gauge* gauge : registry.gauges()) {
-    const std::string name = prom_name(gauge->name());
-    out += "# TYPE " + name + " gauge\n";
-    out += name + " " + fmt_double(gauge->value()) + "\n";
-  }
-  for (const Histogram* histogram : registry.histograms()) {
-    const HistogramSnapshot snap = histogram->snapshot();
-    const std::string name = prom_name(histogram->name());
-    out += "# TYPE " + name + " histogram\n";
-    std::uint64_t cumulative = 0;
-    for (std::size_t bucket = 0; bucket < snap.counts.size(); ++bucket) {
-      cumulative += snap.counts[bucket];
-      const std::string edge = bucket < snap.bounds.size()
-                                   ? fmt_double(snap.bounds[bucket])
-                                   : "+Inf";
-      out += name + "_bucket{le=\"" + edge + "\"} " +
-             std::to_string(cumulative) + "\n";
-    }
-    out += name + "_sum " + fmt_double(snap.sum) + "\n";
-    out += name + "_count " + std::to_string(snap.count) + "\n";
   }
   return out;
 }

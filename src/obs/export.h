@@ -1,4 +1,4 @@
-// Exporters for droute::obs — three formats, all produced from snapshots so
+// Exporters for droute::obs — two formats, all produced from snapshots so
 // a live recorder can be dumped at any point:
 //
 //   chrome_trace_json  — Chrome trace_event "JSON Array Format" (loads in
@@ -8,8 +8,6 @@
 //   metrics_csv        — flat `kind,name,field,value` rows sorted by name;
 //                        byte-deterministic for a deterministic run (the
 //                        determinism test in tests/obs_test.cpp relies on it).
-//   prometheus_text    — Prometheus exposition format text dump; metric names
-//                        are mangled `droute_<name with dots as underscores>`.
 #pragma once
 
 #include <string>
@@ -22,7 +20,6 @@ namespace droute::obs {
 
 std::string chrome_trace_json(const Recorder& recorder);
 std::string metrics_csv(const Registry& registry);
-std::string prometheus_text(const Registry& registry);
 
 /// Writes `content` to `path` (truncating). Plain helper so bench/tooling
 /// call sites don't each reinvent error handling.

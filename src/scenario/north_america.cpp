@@ -4,10 +4,10 @@
 
 #include "check/contract.h"
 #include "cloud/oauth.h"
+#include "ctrl/steered.h"
 #include "geo/geo.h"
 #include "sim/task.h"
 #include "transfer/rsync_engine.h"
-#include "transfer/steered.h"
 #include "util/logging.h"
 #include "util/units.h"
 
@@ -84,14 +84,6 @@ std::string client_name(Client client) {
     case Client::kUBC:    return "UBC";
     case Client::kPurdue: return "Purdue";
     case Client::kUCLA:   return "UCLA";
-  }
-  return "?";
-}
-
-std::string intermediate_name(Intermediate node) {
-  switch (node) {
-    case Intermediate::kUAlberta: return "UAlberta";
-    case Intermediate::kUMich:    return "UMich";
   }
   return "?";
 }
@@ -750,8 +742,8 @@ util::Result<double> World::run_steered_upload(cloud::ProviderKind provider,
       config_.seed ^ ++upload_counter_);
   file.bytes = bytes;
 
-  transfer::SteeredUploadEngine engine(fabric_.get(), &api_engine(provider),
-                                       &steering);
+  ctrl::SteeredUploadEngine engine(fabric_.get(), &api_engine(provider),
+                                   &steering);
   util::Result<double> elapsed =
       util::Error::make("steered upload did not finish (deadline)");
   auto task = engine.upload_task(src, file);
@@ -784,18 +776,6 @@ measure::TransferFn make_download_fn(Client client,
     auto name = world->stage_object(provider, bytes);
     if (!name.ok()) return util::Error{name.error()};
     return world->run_download(client, provider, route, name.value());
-  };
-}
-
-measure::TransferFn make_rsync_fn(std::string src_node, std::string dst_node,
-                                  WorldConfig base) {
-  return [src = std::move(src_node), dst = std::move(dst_node), base](
-             std::uint64_t bytes,
-             std::uint64_t run_seed) -> util::Result<double> {
-    WorldConfig config = base;
-    config.seed = run_seed;
-    auto world = World::create(config);
-    return world->run_rsync(src, dst, bytes);
   };
 }
 

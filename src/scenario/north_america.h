@@ -46,7 +46,6 @@ enum class Intermediate { kUAlberta, kUMich };
 enum class RouteChoice { kDirect, kViaUAlberta, kViaUMich };
 
 std::string client_name(Client client);
-std::string intermediate_name(Intermediate node);
 std::string route_name(RouteChoice route);
 std::vector<Client> all_clients();
 std::vector<RouteChoice> all_routes();
@@ -176,10 +175,6 @@ measure::TransferFn make_transfer_fn(Client client,
                                      cloud::ProviderKind provider,
                                      RouteChoice route,
                                      WorldConfig base = {});
-
-/// TransferFn for a raw point-to-point rsync between two named nodes.
-measure::TransferFn make_rsync_fn(std::string src_node, std::string dst_node,
-                                  WorldConfig base = {});
 
 /// TransferFn measuring a *download* (object staged per run, then fetched
 /// over the given route). The paper's protocol applies unchanged.

@@ -15,7 +15,7 @@ EventId Simulator::schedule_at(Time at, Handler handler) {
   DROUTE_CHECK(at >= now_, "event scheduled in the past");
   DROUTE_CHECK(handler != nullptr, "null event handler");
   const std::uint64_t seq = next_seq_++;
-  heap_.push(Entry{at, seq, seq});
+  heap_.push(Entry{at, seq});
   handlers_.emplace(seq, std::move(handler));
   return EventId{seq};
 }
@@ -34,7 +34,7 @@ bool Simulator::cancel(EventId id) {
 
 void Simulator::skim_cancelled() const {
   while (!heap_.empty() &&
-         handlers_.find(heap_.top().id) == handlers_.end()) {
+         handlers_.find(heap_.top().seq) == handlers_.end()) {
     heap_.pop();
   }
 }
@@ -52,7 +52,7 @@ bool Simulator::step() {
   for (;;) {
     if (heap_.empty()) return false;
     entry = heap_.top();
-    it = handlers_.find(entry.id);
+    it = handlers_.find(entry.seq);
     if (it != handlers_.end()) break;
     heap_.pop();  // cancelled twin: reclaim lazily
   }

@@ -111,8 +111,8 @@ class Simulator {
  private:
   struct Entry {
     Time at;
-    std::uint64_t seq;  // tie-break: FIFO among same-time events
-    std::uint64_t id;
+    // Tie-break (FIFO among same-time events) and the handlers_ key.
+    std::uint64_t seq;
   };
   struct EntryLater {
     bool operator()(const Entry& a, const Entry& b) const {

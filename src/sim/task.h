@@ -1,13 +1,13 @@
 // Structured concurrency over the discrete-event kernel (C++20).
 //
-// sim::Task<T> is a value-returning, joinable, cancellable coroutine: the
-// production successor of the detached sim::Process (process.h is now a
-// thin alias over Task<void>). A multi-leg transfer reads top-to-bottom:
+// sim::Task<T> is a value-returning, joinable, cancellable coroutine. A
+// multi-leg transfer reads top-to-bottom; every flow rides the batched
+// transfer engine (transfer/batch.h, DESIGN.md §15):
 //
-//   sim::Task<double> detour(net::Fabric& fabric, ...) {
-//     auto leg1 = net::transfer(fabric, client, dtn, bytes);
-//     const auto stats = co_await leg1;              // Result<FlowStats>
-//     if (!stats.ok()) co_return stats.error();      // maps into the Result
+//   sim::Task<double> detour(transfer::TransferEngine& xfer, ...) {
+//     auto leg1 = xfer.submit(std::move(request));   // deferred launch
+//     const bool ok = co_await leg1;                 // the flow runs here
+//     if (!ok) co_return util::Error::make(leg1.status(0).error);
 //     ...
 //     co_return elapsed;
 //   }
@@ -19,15 +19,15 @@
 //   * co_return maps onto util::Result<T>: a task can return a T, a
 //     util::Error, or a whole util::Result<T>. Task<void> completes with a
 //     util::Status. An exception escaping the body is caught and becomes
-//     an error result — never std::terminate (the old Process policy).
+//     an error result — never std::terminate.
 //   * Join: poll done()/result(), register on_done(fn), or co_await the
 //     task from another task (completion resumes the awaiter in the same
 //     sim event, like a callback would have fired).
 //   * Cancellation is cooperative: cancel() sets a flag and cancels the
 //     awaitable the task is currently parked on (pending sim event,
-//     in-flight fabric flow, Notify wait). The body resumes, observes the
-//     failure (delay() and Notify::wait() return false; a cancelled flow
-//     completes with kAborted), runs its cleanup, and co_returns normally
+//     in-flight transfer batch, Notify wait). The body resumes, observes the
+//     failure (delay() and Notify::wait() return false; a cancelled batch
+//     request settles as kAborted), runs its cleanup, and co_returns normally
 //     — frames are never destroyed mid-body, so RAII cleanup always runs.
 //   * Lifetime: every pending resume lives in the simulator's queue, so a
 //     Task must not outlive its Simulator (cancel() it first if tearing
@@ -39,7 +39,6 @@
 #pragma once
 
 #include <coroutine>
-#include <cstddef>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -55,9 +54,8 @@
 
 namespace droute::sim {
 
-/// util::Error codes used by the Task layer.
+/// util::Error code for a task body that unwinds because it was cancelled.
 inline constexpr int kErrCancelled = 499;
-inline constexpr int kErrTimeout = 408;
 
 namespace detail {
 
@@ -204,7 +202,7 @@ class Task {
   }
 
   /// Requests cooperative cancellation: the pending awaitable (sim event,
-  /// fabric flow, Notify wait) is cancelled and the body unwinds through
+  /// transfer batch, Notify wait) is cancelled and the body unwinds through
   /// its normal failure paths. No-op on a finished task.
   void cancel() {
     if (state_ != nullptr) detail::request_cancel(*state_);
@@ -404,130 +402,5 @@ class Notify {
  private:
   std::vector<std::function<void()>> waiters_;
 };
-
-// ---------------------------------------------------------------------------
-// Combinators. All take value tasks (Task<void> joins are cheap enough to
-// co_await directly). Tasks are eager, so the work is already in flight
-// when a combinator starts joining.
-
-/// Joins every task; yields their results in input order. Cancelling the
-/// all_of task cascades into the not-yet-joined children.
-template <typename T>
-Task<std::vector<typename Task<T>::result_type>> all_of(
-    std::vector<Task<T>> tasks) {
-  std::vector<typename Task<T>::result_type> results;
-  results.reserve(tasks.size());
-  for (auto& task : tasks) {
-    results.push_back(co_await task);
-  }
-  co_return results;
-}
-
-/// any_of's yield: which task finished first, and with what.
-template <typename T>
-struct AnyOutcome {
-  std::size_t index;
-  typename Task<T>::result_type result;
-};
-
-namespace detail {
-
-/// Parks until the first of `tasks` finishes; yields the winner's index.
-template <typename T>
-class AnyAwaiter {
- public:
-  explicit AnyAwaiter(std::vector<Task<T>>* tasks) : tasks_(tasks) {}
-
-  bool await_ready() & {
-    for (std::size_t i = 0; i < tasks_->size(); ++i) {
-      if ((*tasks_)[i].done()) {
-        winner_ = i;
-        return true;
-      }
-    }
-    return false;
-  }
-
-  template <typename Promise>
-  bool await_suspend(std::coroutine_handle<Promise> handle) & {
-    if constexpr (std::is_base_of_v<TaskPromiseBase, Promise>) {
-      if (handle.promise().cancel_requested()) {
-        for (auto& task : *tasks_) task.cancel();
-        for (std::size_t i = 0; i < tasks_->size(); ++i) {
-          if ((*tasks_)[i].done()) {
-            winner_ = i;
-            return false;
-          }
-        }
-      }
-    }
-    auto armed = std::make_shared<bool>(true);
-    for (std::size_t i = 0; i < tasks_->size(); ++i) {
-      (*tasks_)[i].on_done(
-          [this, armed, handle, i](const typename Task<T>::result_type&) {
-            if (!*armed) return;
-            *armed = false;
-            winner_ = i;
-            if constexpr (std::is_base_of_v<TaskPromiseBase, Promise>) {
-              handle.promise().disarm_canceller();
-            }
-            handle.resume();
-          });
-    }
-    if constexpr (std::is_base_of_v<TaskPromiseBase, Promise>) {
-      std::vector<Task<T>>* tasks = tasks_;
-      handle.promise().arm_canceller([tasks] {
-        for (auto& task : *tasks) task.cancel();
-      });
-    }
-    return true;
-  }
-
-  std::size_t await_resume() const& { return winner_; }
-
- private:
-  std::vector<Task<T>>* tasks_;
-  std::size_t winner_ = 0;
-};
-
-}  // namespace detail
-
-/// Yields the first task to finish; the losers are cancelled (and unwind
-/// cooperatively — they are not awaited, so a loser ignoring cancellation
-/// simply finishes detached).
-template <typename T>
-Task<AnyOutcome<T>> any_of(std::vector<Task<T>> tasks) {
-  DROUTE_CHECK(!tasks.empty(), "any_of over an empty task set");
-  detail::AnyAwaiter<T> first(&tasks);
-  const std::size_t winner = co_await first;
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    if (i != winner) tasks[i].cancel();
-  }
-  co_return AnyOutcome<T>{winner, tasks[winner].result()};
-}
-
-/// Runs `task` against a simulated-time budget: if it does not finish
-/// within `dt`, it is cancelled and the result is a kErrTimeout error;
-/// otherwise the inner result passes through unchanged.
-// The Simulator reference is safe to hold across suspension: every Task
-// must be joined or cancelled before its Simulator dies (header contract).
-template <typename T>
-Task<T> with_timeout(Simulator& simulator, Task<T> task, Time dt) {  // NOLINT(cppcoreguidelines-avoid-reference-coroutine-parameters)
-  bool timed_out = false;
-  EventId timer;
-  if (!task.done()) {
-    timer = simulator.schedule_in(dt, [&task, &timed_out] {
-      timed_out = true;
-      task.cancel();
-    });
-  }
-  auto result = co_await task;
-  simulator.cancel(timer);
-  if (timed_out) {
-    co_return util::Error::make(
-        "timed out after " + std::to_string(dt) + " s", kErrTimeout);
-  }
-  co_return result;
-}
 
 }  // namespace droute::sim

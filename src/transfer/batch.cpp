@@ -8,9 +8,8 @@ namespace droute::transfer {
 namespace detail {
 
 namespace {
-// Reason stamped on requests a batch never handed to the transport. Matches
-// net::TransferAwaitable's pre-start guard so legacy "<leg> flow rejected: "
-// compositions stay byte-identical through the batch layer.
+// Reason stamped on requests a batch never handed to the transport; engines
+// compose it into their "<leg> flow rejected: " errors.
 constexpr const char* kCancelledBeforeStart = "transfer cancelled before start";
 }  // namespace
 
@@ -115,8 +114,7 @@ void BatchState::trip_fail_fast() {
   tripped_ = true;
   // Requests never handed to the transport settle as cancelled; in-flight
   // ones keep running detached (the completion lambdas keep `this` alive)
-  // so their bytes still drain through the fabric exactly as the legacy
-  // detached stripe frames did.
+  // so their bytes still drain through the fabric.
   for (std::size_t i = next_to_start_; i < slots_.size(); ++i) {
     if (!slots_[i].status.settled()) {
       settle(i, RequestState::kCancelled, kCancelledBeforeStart, 0);
@@ -134,7 +132,7 @@ void BatchState::cancel() {
   }
   // Index order: first settle everything not yet started (so completions
   // delivered during the aborts cannot start new work), then abort the
-  // in-flight requests the way the legacy all_of cascade unwound stripes.
+  // in-flight requests.
   for (std::size_t i = next_to_start_; i < slots_.size(); ++i) {
     if (!slots_[i].status.settled()) {
       settle(i, RequestState::kCancelled, kCancelledBeforeStart, 0);

@@ -12,24 +12,23 @@
 // settles independently (completed / rejected / aborted / link-failed) and
 // the batch as a whole settles when the last request does.
 //
+// The batch engine is the only bridge from a sim::Task to the fabric:
+// every engine, the controller's probes included, moves bytes through it.
 // Launch is deferred: requests hit the Transport inside the awaiter's
-// await_suspend (or an explicit start()/wait()), never at submit time. This
-// is what makes the six legacy engines event-schedule-identical to their
-// pre-batch form — a single-request batch starts its flow at exactly the
-// co_await point where `co_await net::transfer(...)` used to start it, the
-// completion resumes the awaiter in the same sim event the flow callback
-// used to, and a parent task cancelled before the co_await never touches
-// the fabric at all (every request settles as kCancelled with the legacy
-// "transfer cancelled before start" reason).
+// await_suspend (or an explicit start()/wait()), never at submit time. So a
+// single-request batch starts its flow at exactly its co_await point, the
+// completion resumes the awaiter in the same sim event the flow finishes
+// in, and a parent task cancelled before the co_await never touches the
+// fabric at all (every request settles as kCancelled with the reason
+// "transfer cancelled before start").
 //
 // Cancellation is cooperative via sim::Task: cancelling the awaiting task
-// cancels the batch, which aborts in-flight requests in index order (the
-// same order the old sim::all_of cascade unwound stripe joins) and settles
-// unstarted ones without touching the transport. A cancelled batch releases
-// every per-request resource synchronously on sim transports — no pending
-// sim events, no live flows — and always decrements transfer.batch_inflight
-// exactly once, even when the handle itself is dropped (the chaos harness
-// audits this).
+// cancels the batch, which aborts in-flight requests in index order and
+// settles unstarted ones without touching the transport. A cancelled batch
+// releases every per-request resource synchronously on sim transports — no
+// pending sim events, no live flows — and always decrements
+// transfer.batch_inflight exactly once, even when the handle itself is
+// dropped (the chaos harness audits this).
 //
 // Awaiting is lvalue-only (&-qualified awaiter methods), matching the rest
 // of the Task layer (GCC PR 99576 family).
@@ -114,7 +113,7 @@ struct RequestStatus {
   }
   bool completed() const { return state == RequestState::kCompleted; }
   /// The request never ran: refused synchronously or cancelled pre-start.
-  /// Legacy engines surface these as "<leg> flow rejected: <error>".
+  /// Engines surface these as "<leg> flow rejected: <error>".
   bool rejected() const {
     return state == RequestState::kRejected ||
            state == RequestState::kCancelled;
@@ -136,8 +135,8 @@ struct BatchOptions {
   /// batch awaitable-ready immediately: unstarted requests settle as
   /// kCancelled and already-started ones finish detached (the batch state
   /// stays alive through the transport callbacks until they settle). This
-  /// is the legacy parallel-stripe contract: report the rejection once,
-  /// let in-flight stripes drain.
+  /// is the parallel-stripe contract: report the rejection once, let
+  /// in-flight stripes drain.
   bool fail_fast = false;
 };
 
@@ -163,7 +162,7 @@ class BatchState : public std::enable_shared_from_this<BatchState> {
   void cancel();
 
   /// The awaiting task was cancelled before the batch launched: settle
-  /// every request as kCancelled with the legacy pre-start reason, without
+  /// every request as kCancelled with the pre-start reason, without
   /// touching the transport.
   void cancel_before_start();
 
@@ -253,8 +252,7 @@ class BatchHandle {
   bool await_suspend(std::coroutine_handle<Promise> handle) & {
     if constexpr (std::is_base_of_v<sim::TaskPromiseBase, Promise>) {
       if (handle.promise().cancel_requested() && !state_->launched()) {
-        // Task already cancelled: do not put bytes on the wire. Mirrors the
-        // legacy TransferAwaitable guard, reason string included.
+        // Task already cancelled: do not put bytes on the wire.
         state_->cancel_before_start();
         return false;  // resume immediately
       }
@@ -328,5 +326,19 @@ class TransferEngine {
   obs::Counter* obs_requests_ = nullptr;
   obs::Gauge* obs_inflight_ = nullptr;
 };
+
+/// Folds a leg task's join result back into the leg's own result struct
+/// (RsyncResult, UploadResult, ...): a leg that unwound exceptionally (or
+/// was cancelled) reads as a failed leg with the Task error as its message.
+template <typename Leg>
+Leg unwrap_leg(const util::Result<Leg>& joined, double now) {
+  if (joined.ok()) return joined.value();
+  Leg failed{};
+  failed.success = false;
+  failed.error = joined.error().message;
+  failed.start_time = now;
+  failed.end_time = now;
+  return failed;
+}
 
 }  // namespace droute::transfer

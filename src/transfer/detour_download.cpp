@@ -6,23 +6,6 @@
 
 namespace droute::transfer {
 
-namespace {
-
-/// Same fold as the upload detour: an exceptionally-unwound leg reads as a
-/// failed leg with the Task error as its message.
-template <typename Leg>
-Leg unwrap_leg(const util::Result<Leg>& joined, double now) {
-  if (joined.ok()) return joined.value();
-  Leg failed{};
-  failed.success = false;
-  failed.error = joined.error().message;
-  failed.start_time = now;
-  failed.end_time = now;
-  return failed;
-}
-
-}  // namespace
-
 sim::Task<DownloadDetourResult> DetourDownloadEngine::download_task(
     net::NodeId client, net::NodeId intermediate, std::string name) {
   sim::Simulator& simulator = *fabric_->simulator();

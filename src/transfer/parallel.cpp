@@ -25,8 +25,8 @@ sim::Task<ParallelPushResult> ParallelPushEngine::push_task(net::NodeId src,
       std::min<std::uint64_t>(static_cast<std::uint64_t>(streams),
                               std::max<std::uint64_t>(1, file.bytes));
 
-  // One batch, one WRITE request per stripe. fail_fast reproduces the
-  // legacy contract: a synchronously rejected stripe reports the failure
+  // One batch, one WRITE request per stripe. fail_fast keeps the stripe
+  // contract: a synchronously rejected stripe reports the failure
   // once and immediately, while earlier in-flight stripes finish detached
   // (their completions release the batch state as the flows drain).
   const SegmentId target = xfer_.ensure_node_segment(dst);

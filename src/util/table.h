@@ -19,8 +19,6 @@ class TextTable {
   /// Appends one row; must have the same arity as the header.
   void add_row(std::vector<std::string> row);
 
-  std::size_t row_count() const { return rows_.size(); }
-
   /// Renders with single-space-padded columns and a separator under the head.
   std::string render() const;
 

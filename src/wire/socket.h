@@ -44,7 +44,6 @@ class Stream {
   util::Result<std::uint64_t> recv_u64();
 
   bool valid() const { return fd_.valid(); }
-  int raw_fd() const { return fd_.get(); }
 
  private:
   Fd fd_;

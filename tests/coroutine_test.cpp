@@ -1,5 +1,5 @@
-// C++20 coroutine layer tests: sim::Task<T> (values, errors, cancellation,
-// combinators), sim::Process compatibility, and the net::transfer awaitable.
+// C++20 coroutine layer tests: sim::Task<T> (delays, values, errors,
+// cancellation) and fabric transfers awaited through the batch engine.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -7,18 +7,18 @@
 #include <utility>
 #include <vector>
 
-#include "net/fabric_await.h"
 #include "scenario/north_america.h"
-#include "sim/process.h"
 #include "sim/task.h"
+#include "transfer/batch.h"
 #include "transfer/detour.h"
 #include "transfer/rsync_engine.h"
+#include "transfer/sim_transport.h"
 #include "util/units.h"
 
 namespace droute::sim {
 namespace {
 
-Process two_step(Simulator& simulator, std::vector<double>& timestamps) {
+Task<void> two_step(Simulator& simulator, std::vector<double>& timestamps) {
   timestamps.push_back(simulator.now());
   co_await delay(simulator, 2.0);
   timestamps.push_back(simulator.now());
@@ -29,7 +29,7 @@ Process two_step(Simulator& simulator, std::vector<double>& timestamps) {
 TEST(Process, DelaysAdvanceSimulatedTime) {
   Simulator simulator;
   std::vector<double> timestamps;
-  Process process = two_step(simulator, timestamps);
+  Task<void> process = two_step(simulator, timestamps);
   // Body ran eagerly to the first co_await.
   ASSERT_EQ(timestamps.size(), 1u);
   EXPECT_FALSE(process.done());
@@ -41,7 +41,7 @@ TEST(Process, DelaysAdvanceSimulatedTime) {
   EXPECT_TRUE(process.done());
 }
 
-Process ticker(Simulator& simulator, int& count, int limit) {
+Task<void> ticker(Simulator& simulator, int& count, int limit) {
   for (int i = 0; i < limit; ++i) {
     co_await delay(simulator, 1.0);
     ++count;
@@ -64,7 +64,7 @@ TEST(Process, LoopsInterleaveDeterministically) {
 TEST(Process, ZeroDelayDoesNotSuspend) {
   Simulator simulator;
   std::vector<double> timestamps;
-  auto proc = [](Simulator& s, std::vector<double>& ts) -> Process {
+  auto proc = [](Simulator& s, std::vector<double>& ts) -> Task<void> {
     co_await delay(s, 0.0);
     ts.push_back(s.now());
     co_await delay_until(s, -5.0);  // already past: no-op
@@ -78,7 +78,7 @@ TEST(Process, ZeroDelayDoesNotSuspend) {
 TEST(Process, DelayUntilAbsoluteTime) {
   Simulator simulator;
   double fired_at = -1.0;
-  [](Simulator& s, double& at) -> Process {
+  [](Simulator& s, double& at) -> Task<void> {
     co_await delay_until(s, 7.5);
     at = s.now();
   }(simulator, fired_at);
@@ -250,95 +250,45 @@ TEST(Notify, CancelledWaiterResumesWithFalse) {
   gate.notify_all();  // the stale waiter entry must be a consumed no-op
 }
 
-TEST(Combinators, AllOfJoinsEveryChildInInputOrder) {
-  Simulator simulator;
-  std::vector<Task<int>> children;
-  children.push_back(answer_after(simulator, 1.0, 10));
-  children.push_back(answer_after(simulator, 3.0, 20));
-  children.push_back(answer_after(simulator, 2.0, 30));
-  auto joined = all_of(std::move(children));
-  simulator.run();
-  ASSERT_TRUE(joined.done());
-  ASSERT_TRUE(joined.result().ok());
-  const auto& results = joined.result().value();
-  ASSERT_EQ(results.size(), 3u);
-  for (const auto& result : results) ASSERT_TRUE(result.ok());
-  EXPECT_EQ(results[0].value(), 10);
-  EXPECT_EQ(results[1].value(), 20);
-  EXPECT_EQ(results[2].value(), 30);
-  EXPECT_DOUBLE_EQ(simulator.now(), 3.0);  // gated by the slowest child
-}
-
-TEST(Combinators, AnyOfYieldsWinnerAndCancelsLosers) {
-  Simulator simulator;
-  std::vector<Task<int>> racers;
-  racers.push_back(patient(simulator, 5.0, 1));
-  racers.push_back(patient(simulator, 1.0, 2));
-  auto race = any_of(std::move(racers));
-  simulator.run();
-  ASSERT_TRUE(race.done());
-  ASSERT_TRUE(race.result().ok());
-  EXPECT_EQ(race.result().value().index, 1u);
-  ASSERT_TRUE(race.result().value().result.ok());
-  EXPECT_EQ(race.result().value().result.value(), 2);
-  // The loser's sleep was cancelled, not left to burn simulated time.
-  EXPECT_EQ(simulator.pending(), 0u);
-  EXPECT_DOUBLE_EQ(simulator.now(), 1.0);
-}
-
-TEST(Combinators, WithTimeoutExpiryCancelsAndReportsTimeout) {
-  Simulator simulator;
-  auto guarded = with_timeout(simulator, patient(simulator, 100.0, 1), 5.0);
-  simulator.run();
-  ASSERT_TRUE(guarded.done());
-  ASSERT_FALSE(guarded.result().ok());
-  EXPECT_EQ(guarded.result().error().code, kErrTimeout);
-  EXPECT_DOUBLE_EQ(simulator.now(), 5.0);
-  EXPECT_EQ(simulator.pending(), 0u);
-}
-
-TEST(Combinators, WithTimeoutPassesInnerResultThrough) {
-  Simulator simulator;
-  auto guarded = with_timeout(simulator, patient(simulator, 2.0, 7), 5.0);
-  simulator.run();
-  ASSERT_TRUE(guarded.done());
-  ASSERT_TRUE(guarded.result().ok());
-  EXPECT_EQ(guarded.result().value(), 7);
-  EXPECT_DOUBLE_EQ(simulator.now(), 2.0);  // the timer was cancelled
-  EXPECT_EQ(simulator.pending(), 0u);
-}
-
 }  // namespace
 }  // namespace droute::sim
 
-namespace droute::net {
+namespace droute::transfer {
 namespace {
 
 using scenario::World;
 using scenario::WorldConfig;
 
-sim::Process detour_script(World& world, double& leg1_s, double& leg2_s,
-                           bool& ok) {
+/// One fabric flow src -> dst, awaited as a single-request batch.
+BatchHandle submit_leg(TransferEngine& xfer, net::NodeId src, net::NodeId dst,
+                       std::uint64_t bytes) {
+  TransferRequest request;
+  request.source_node = src;
+  request.target_id = xfer.ensure_node_segment(dst);
+  request.length = bytes;
+  return xfer.submit(std::move(request));
+}
+
+sim::Task<void> detour_script(World& world, TransferEngine& xfer,
+                              double& leg1_s, double& leg2_s, bool& ok) {
   // The paper's store-and-forward detour as a straight-line script:
   // UBC -> UAlberta, then UAlberta -> Google front end.
   const auto ubc = world.client_node(scenario::Client::kUBC);
   const auto ua = world.intermediate_node(scenario::Intermediate::kUAlberta);
   const auto fe = world.provider_node(cloud::ProviderKind::kGoogleDrive);
 
-  auto leg1_awaitable = transfer(world.fabric(), ubc, ua, 50 * util::kMB);
-  auto leg1 = co_await leg1_awaitable;
-  if (!leg1.ok()) {
+  auto leg1 = submit_leg(xfer, ubc, ua, 50 * util::kMB);
+  if (!co_await leg1) {
     ok = false;
     co_return;
   }
-  leg1_s = leg1.value().duration_s();
-  auto leg2_awaitable = transfer(world.fabric(), ua, fe, 50 * util::kMB);
-  auto leg2 = co_await leg2_awaitable;
-  if (!leg2.ok()) {
+  leg1_s = leg1.status(0).duration_s();
+  auto leg2 = submit_leg(xfer, ua, fe, 50 * util::kMB);
+  if (!co_await leg2) {
     ok = false;
     co_return;
   }
-  leg2_s = leg2.value().duration_s();
+  leg2_s = leg2.status(0).duration_s();
   ok = true;
 }
 
@@ -346,9 +296,11 @@ TEST(TransferAwait, SequentialDetourScript) {
   WorldConfig config;
   config.cross_traffic = false;
   auto world = World::create(config);
+  SimTransport transport(&world->fabric());
+  TransferEngine xfer(&transport);
   double leg1_s = 0.0, leg2_s = 0.0;
   bool ok = false;
-  sim::Process script = detour_script(*world, leg1_s, leg2_s, ok);
+  sim::Task<void> script = detour_script(*world, xfer, leg1_s, leg2_s, ok);
   world->simulator().run();
   ASSERT_TRUE(script.done());
   ASSERT_TRUE(ok);
@@ -363,6 +315,8 @@ TEST(TransferAwait, RejectedFlowResumesWithError) {
   WorldConfig config;
   config.cross_traffic = false;
   auto world = World::create(config);
+  SimTransport transport(&world->fabric());
+  TransferEngine xfer(&transport);
   // Cut UCLA off so the flow is rejected synchronously.
   world->fabric().fail_link(
       world->topology()
@@ -370,42 +324,45 @@ TEST(TransferAwait, RejectedFlowResumesWithError) {
                      world->node("pl-gw.ucla.edu"))
           .value());
   bool reached_end = false;
-  bool got_stats = true;
+  bool completed = true;
   std::string error;
-  [](World& w, bool& end, bool& stats, std::string& err) -> sim::Process {
-    auto awaitable = transfer(
-        w.fabric(), w.client_node(scenario::Client::kUCLA),
-        w.provider_node(cloud::ProviderKind::kDropbox), util::kMB);
-    auto result = co_await awaitable;
-    stats = result.ok();
-    if (!result.ok()) err = result.error().message;
+  [](World& w, TransferEngine& engine, bool& end, bool& done,
+     std::string& err) -> sim::Task<void> {
+    auto leg = submit_leg(engine, w.client_node(scenario::Client::kUCLA),
+                          w.provider_node(cloud::ProviderKind::kDropbox),
+                          util::kMB);
+    done = co_await leg;
+    if (leg.status(0).rejected()) err = leg.status(0).error;
     end = true;
-  }(*world, reached_end, got_stats, error);
+  }(*world, xfer, reached_end, completed, error);
   // The rejection path never suspends, so the script is already finished.
   EXPECT_TRUE(reached_end);
-  EXPECT_FALSE(got_stats);
+  EXPECT_FALSE(completed);
   EXPECT_FALSE(error.empty());
+  EXPECT_EQ(xfer.batches_inflight(), 0u);
 }
 
 TEST(TransferAwait, ConcurrentScriptsShareTheFabric) {
   WorldConfig config;
   config.cross_traffic = false;
   auto world = World::create(config);
+  SimTransport transport(&world->fabric());
+  TransferEngine xfer(&transport);
   // Two concurrent scripts pushing UBC -> UAlberta share the 44 Mbps slice
   // fairly: each takes about twice the solo time... the slice cap is
   // per-flow (middlebox), so the real constraint is the shared 50 Mbps
   // uplink: each flow gets ~25 Mbps.
   std::vector<double> durations;
-  auto script = [](World& w, std::vector<double>& out) -> sim::Process {
-    auto awaitable = transfer(
-        w.fabric(), w.client_node(scenario::Client::kUBC),
+  auto script = [](World& w, TransferEngine& engine,
+                   std::vector<double>& out) -> sim::Task<void> {
+    auto leg = submit_leg(
+        engine, w.client_node(scenario::Client::kUBC),
         w.intermediate_node(scenario::Intermediate::kUAlberta),
         25 * util::kMB);
-    auto stats = co_await awaitable;
-    if (stats.ok()) out.push_back(stats.value().duration_s());
+    if (co_await leg) out.push_back(leg.status(0).duration_s());
   };
-  script(*world, durations);
-  script(*world, durations);
+  script(*world, xfer, durations);
+  script(*world, xfer, durations);
   world->simulator().run();
   ASSERT_EQ(durations.size(), 2u);
   // 25 MB at ~25 Mbps each: ~8 s, clearly slower than solo (~4.7 s).
@@ -413,7 +370,7 @@ TEST(TransferAwait, ConcurrentScriptsShareTheFabric) {
 }
 
 }  // namespace
-}  // namespace droute::net
+}  // namespace droute::transfer
 
 // ---------------------------------------------------------------------------
 // Engine coroutines under contract violations, fault injection and budgets.
@@ -493,15 +450,15 @@ TEST(DetourTask, TimeoutDuringLeg2AbandonsTheApiSession) {
   const auto ubc = world->client_node(scenario::Client::kUBC);
   const auto ua = world->intermediate_node(scenario::Intermediate::kUAlberta);
   // Leg 1 (rsync, ~9.5 s) finishes; the 15 s budget expires mid-upload.
-  auto guarded = sim::with_timeout(
-      world->simulator(),
-      world->detour_engine(cloud::ProviderKind::kGoogleDrive)
-          .transfer_task(ubc, ua, make_file_mb(50, 9)),
-      15.0);
+  auto task = world->detour_engine(cloud::ProviderKind::kGoogleDrive)
+                  .transfer_task(ubc, ua, make_file_mb(50, 9));
+  world->simulator().schedule_in(15.0, [&task] { task.cancel(); });
   world->simulator().run();
-  ASSERT_TRUE(guarded.done());
-  ASSERT_FALSE(guarded.result().ok());
-  EXPECT_EQ(guarded.result().error().code, sim::kErrTimeout);
+  ASSERT_TRUE(task.done());
+  ASSERT_TRUE(task.result().ok());
+  EXPECT_FALSE(task.result().value().success);
+  EXPECT_NE(task.result().value().error.find("detour leg 2"),
+            std::string::npos);
   EXPECT_DOUBLE_EQ(world->simulator().now(), 15.0);
   // The cancelled upload abandoned its API session on the way out.
   EXPECT_EQ(world->server(cloud::ProviderKind::kGoogleDrive).open_sessions(),

@@ -209,24 +209,6 @@ TEST(Export, MetricsCsvListsEveryInstrumentKind) {
   EXPECT_NE(csv.find("histogram,a.wait_s,bucket_le_1,1\n"), std::string::npos);
 }
 
-TEST(Export, PrometheusBucketsAreCumulative) {
-  Registry registry;
-  Histogram* h = registry.histogram("a.wait_s", {1.0, 2.0});
-  h->observe(0.5);
-  h->observe(1.5);
-  h->observe(99.0);
-
-  const std::string text = prometheus_text(registry);
-  EXPECT_NE(text.find("# TYPE droute_a_wait_s histogram"), std::string::npos);
-  EXPECT_NE(text.find("droute_a_wait_s_bucket{le=\"1\"} 1\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("droute_a_wait_s_bucket{le=\"2\"} 2\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("droute_a_wait_s_bucket{le=\"+Inf\"} 3\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("droute_a_wait_s_count 3\n"), std::string::npos);
-}
-
 TEST(Export, WriteFileRejectsUnwritablePath) {
   const auto status = write_file("/nonexistent-dir/trace.json", "x");
   EXPECT_FALSE(status.ok());

@@ -1,10 +1,13 @@
 # Runs the command given after `--` and fails unless it exits 0 and:
 #   - with EXPECT set, its stdout matches the regex EXPECT;
 #   - with FILE set, FILE exists afterwards and has a line matching the
-#     regex FILE_EXPECT (FILE is removed before the run).
+#     regex FILE_EXPECT (FILE is removed before the run);
+#   - with FILE_CHECK set (a Python script, run by PYTHON), the script exits
+#     0 on FILE.
 # ctest's PASS_REGULAR_EXPRESSION ignores the exit code; this checks both.
 #
 #   cmake [-DEXPECT=re] [-DFILE=path -DFILE_EXPECT=re] \
+#         [-DPYTHON=python3 -DFILE_CHECK=script.py] \
 #         -P tools/expect_run.cmake -- <command> [args...]
 set(command)
 set(after_separator FALSE)
@@ -38,5 +41,12 @@ if(FILE)
   file(STRINGS "${FILE}" matched REGEX "${FILE_EXPECT}")
   if(NOT matched)
     message(FATAL_ERROR "expect_run: no line of ${FILE} matches '${FILE_EXPECT}'")
+  endif()
+  if(FILE_CHECK)
+    execute_process(COMMAND ${PYTHON} ${FILE_CHECK} ${FILE}
+                    RESULT_VARIABLE check_status)
+    if(NOT check_status EQUAL 0)
+      message(FATAL_ERROR "expect_run: ${FILE_CHECK} rejected ${FILE}")
+    endif()
   endif()
 endif()
