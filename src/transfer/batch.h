@@ -128,8 +128,9 @@ struct RequestStatus {
 
 struct BatchOptions {
   /// Max requests in flight at once; 0 = unlimited (all launch together,
-  /// in index order). With a cap, a settling request starts the next
-  /// pending one synchronously inside its completion.
+  /// in index order; WireTransport still runs at most kMaxWorkers of them
+  /// at a time). With a cap, a settling request starts the next pending one
+  /// synchronously inside its completion.
   std::size_t concurrency = 0;
   /// Stop launching after the first synchronous rejection and make the
   /// batch awaitable-ready immediately: unstarted requests settle as

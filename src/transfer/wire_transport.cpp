@@ -12,6 +12,12 @@ WireTransport::WireTransport() : epoch_(std::chrono::steady_clock::now()) {}  //
 WireTransport::~WireTransport() {
   while (drain_one()) {
   }
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stopping_ = true;
+  }
+  queued_cv_.notify_all();
+  for (std::thread& worker : workers_) worker.join();
 }
 
 double WireTransport::now() const {
@@ -30,57 +36,67 @@ util::Result<Transport::OpId> WireTransport::start(
   if (request.source == nullptr) {
     return util::Error::make("wire request has no source buffer");
   }
-  OpId id = kNoOp;
-  Op* op = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    id = next_op_++;
-    auto owned = std::make_unique<Op>();
-    owned->done = std::move(done);
-    op = owned.get();
-    ops_.emplace(id, std::move(owned));
+  auto op = std::make_unique<Op>();
+  op->done = std::move(done);
+  op->port = target.wire_port;
+  op->rate = target.wire_rate_bytes_per_s;
+  op->data = request.source;
+  op->length = request.length;
+  std::lock_guard<std::mutex> lock(mutex_);
+  const OpId id = next_op_++;
+  ops_.emplace(id, std::move(op));
+  queue_.push_back(id);
+  // Each idle worker takes one queued op; start another worker only when
+  // the queue outnumbers them.
+  if (queue_.size() > idle_workers_ && workers_.size() < kMaxWorkers) {
+    workers_.emplace_back([this] { work(); });
   }
-  const std::uint16_t port = target.wire_port;
-  const double rate = target.wire_rate_bytes_per_s;
-  const std::uint8_t* data = request.source;
-  const std::uint64_t length = request.length;
-  op->worker = std::thread([this, id, op, port, rate, data, length] {
-    Completion completion;
-    if (op->cancel.load(std::memory_order_acquire)) {
-      completion.fate = TransferFate::kAborted;
-      completion.error = "wire upload cancelled before start";
-      finish(id, std::move(completion));
-      return;
-    }
-    const auto timing = wire::upload_direct(
-        port, std::span<const std::uint8_t>(data, length), rate);
-    if (!timing.ok()) {
-      completion.fate = TransferFate::kLinkFailed;
-      completion.error = timing.error().message;
-    } else if (!timing.value().digest_ok) {
-      completion.fate = TransferFate::kLinkFailed;
-      completion.error = "wire digest mismatch";
-    } else {
-      completion.fate = TransferFate::kCompleted;
-      completion.bytes = length;
-    }
-    finish(id, std::move(completion));
-  });
+  queued_cv_.notify_one();
   return id;
 }
 
-void WireTransport::finish(OpId id, Completion completion) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ops_.at(id)->completion = std::move(completion);
-  finished_.push_back(id);
-  cv_.notify_all();
+void WireTransport::work() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  for (;;) {
+    ++idle_workers_;
+    queued_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+    --idle_workers_;
+    if (queue_.empty()) return;  // stopping
+    const OpId id = queue_.front();
+    queue_.pop_front();
+    Op& op = *ops_.at(id);
+    Completion completion;
+    if (op.cancel) {
+      completion.fate = TransferFate::kAborted;
+      completion.error = "wire upload cancelled before start";
+    } else {
+      lock.unlock();
+      const auto timing = wire::upload_direct(
+          op.port, std::span<const std::uint8_t>(op.data, op.length),
+          op.rate);
+      if (!timing.ok()) {
+        completion.fate = TransferFate::kLinkFailed;
+        completion.error = timing.error().message;
+      } else if (!timing.value().digest_ok) {
+        completion.fate = TransferFate::kLinkFailed;
+        completion.error = "wire digest mismatch";
+      } else {
+        completion.fate = TransferFate::kCompleted;
+        completion.bytes = op.length;
+      }
+      lock.lock();
+    }
+    op.completion = std::move(completion);
+    finished_.push_back(id);
+    finished_cv_.notify_all();
+  }
 }
 
 void WireTransport::cancel(OpId op) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = ops_.find(op);
   if (it != ops_.end()) {
-    it->second->cancel.store(true, std::memory_order_release);
+    it->second->cancel = true;
   }
 }
 
@@ -89,14 +105,13 @@ bool WireTransport::drain_one() {
   {
     std::unique_lock<std::mutex> lock(mutex_);
     if (ops_.empty()) return false;
-    cv_.wait(lock, [this] { return !finished_.empty(); });
+    finished_cv_.wait(lock, [this] { return !finished_.empty(); });
     const OpId id = finished_.front();
     finished_.pop_front();
     auto it = ops_.find(id);
     op = std::move(it->second);
     ops_.erase(it);
   }
-  op->worker.join();
   // Deliver on the draining thread: the batch layer's single-thread rule.
   op->done(op->completion);
   return true;

@@ -45,6 +45,8 @@ void Sink::stop() {
 }
 
 void Sink::serve(Ingress* ingress) {
+  // One receive buffer per ingress, reused by every connection it serves.
+  std::vector<std::uint8_t> buffer(kIoChunk);
   while (!stopping_.load()) {
     auto stream = ingress->listener->accept();
     if (!stream.ok()) return;  // listener shut down
@@ -54,7 +56,6 @@ void Sink::serve(Ingress* ingress) {
     if (!len.ok()) continue;
 
     rsyncx::Md5 md5;
-    std::vector<std::uint8_t> buffer(kIoChunk);
     std::uint64_t remaining = len.value();
     bool failed = false;
     while (remaining > 0) {

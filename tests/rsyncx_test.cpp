@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <tuple>
+#include <vector>
 
 #include "rsyncx/checksum.h"
 #include "rsyncx/delta.h"
@@ -91,6 +92,38 @@ TEST(Md5, PaddingBoundaries) {
     streaming.update(data);
     EXPECT_EQ(streaming.finalize(), Md5::hash(data)) << "size=" << size;
   }
+}
+
+TEST(Md5, MillionAs) {
+  // RFC 1321's reference suite, and FIPS 180's long-message convention.
+  const std::vector<std::uint8_t> data(1000000, 'a');
+  EXPECT_EQ(to_hex(Md5::hash(data)), "7707d6ae4e027c70eea2a935c2296f21");
+}
+
+TEST(Md5, UnalignedInputEqualsAlignedCopy) {
+  // Lengths one either side of every block multiple up to 4 KiB, read from
+  // an odd address.
+  const Blob source = blob_of(9, 4096 + 2);
+  for (std::size_t block = 0; block <= 4096; block += 64) {
+    for (std::size_t n = block == 0 ? 0 : block - 1; n <= block + 1; ++n) {
+      const std::span<const std::uint8_t> unaligned(source.data() + 1, n);
+      const Blob aligned(unaligned.begin(), unaligned.end());
+      ASSERT_EQ(Md5::hash(unaligned), Md5::hash(aligned)) << "n=" << n;
+    }
+  }
+}
+
+TEST(Md5, RandomPiecesEqualOneShot) {
+  const Blob data = blob_of(10, 1 << 20);
+  util::Rng rng(11);
+  Md5 streaming;
+  for (std::size_t off = 0; off < data.size();) {
+    const auto piece = static_cast<std::size_t>(rng.uniform_int(1, 4096));
+    const std::size_t take = std::min(piece, data.size() - off);
+    streaming.update(std::span(data).subspan(off, take));
+    off += take;
+  }
+  EXPECT_EQ(streaming.finalize(), Md5::hash(data));
 }
 
 // -------------------------------------------------------------- signature ----

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <filesystem>
 #include <thread>
+#include <vector>
 
+#include "transfer/batch.h"
+#include "transfer/wire_transport.h"
 #include "util/blob.h"
 #include "util/rng.h"
 #include "wire/client.h"
@@ -187,6 +192,135 @@ TEST_F(WirePlane, ConcurrentClientsAllVerified) {
   }
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(verified.load(), kClients);
+}
+
+// ------------------------------------------------------ wire transport ----
+
+using transfer::WireTransport;
+
+std::size_t thread_count() {
+  std::size_t count = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++count;
+  }
+  return count;
+}
+
+// Forwards to a WireTransport and samples the process's thread count at
+// every start and every completion.
+class ThreadSampler final : public transfer::Transport {
+ public:
+  explicit ThreadSampler(Transport* inner) : inner_(inner) {}
+
+  util::Result<OpId> start(const transfer::Segment& target,
+                           const transfer::TransferRequest& request,
+                           CompletionFn done) override {
+    auto op = inner_->start(
+        target, request,
+        [this, done = std::move(done)](const Completion& completion) {
+          sample();
+          done(completion);
+        });
+    sample();
+    return op;
+  }
+  void cancel(OpId op) override { inner_->cancel(op); }
+  bool drain_one() override { return inner_->drain_one(); }
+  double now() const override { return inner_->now(); }
+
+  std::size_t peak() const { return peak_; }
+
+ private:
+  void sample() { peak_ = std::max(peak_, thread_count()); }
+
+  Transport* inner_;
+  std::size_t peak_ = 0;
+};
+
+std::vector<transfer::TransferRequest> write_requests(
+    const util::Blob& payload, std::size_t count, transfer::SegmentId target) {
+  const std::size_t length = payload.size() / count;
+  std::vector<transfer::TransferRequest> requests(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    requests[i].source = payload.data() + i * length;
+    requests[i].target_id = target;
+    requests[i].length = length;
+  }
+  return requests;
+}
+
+TEST(WireTransportWorkers, UnboundedBatchStaysWithinTheWorkerCap) {
+  // 64x the cap in one concurrency-0 batch: every request is handed to the
+  // transport at once, and at most kMaxWorkers threads may serve them.
+  constexpr std::size_t kRequests = 1024;
+  Sink sink;
+  auto port = sink.add_ingress(0.0);
+  ASSERT_TRUE(port.ok());
+  ASSERT_TRUE(sink.start().ok());
+  const std::size_t baseline = thread_count();  // main + sink service thread
+
+  util::Rng rng(12);
+  const util::Blob payload = util::make_random_blob(rng, kRequests * 1024);
+  WireTransport wire;
+  ThreadSampler sampler(&wire);
+  transfer::TransferEngine xfer(&sampler);
+  transfer::Segment segment;
+  segment.wire_port = port.value();
+  const transfer::SegmentId target = xfer.register_segment(segment);
+
+  transfer::BatchOptions options;
+  options.concurrency = 0;
+  auto batch = xfer.submit_batch(write_requests(payload, kRequests, target),
+                                 options);
+  EXPECT_TRUE(batch.wait());
+  EXPECT_GT(sampler.peak(), baseline);
+  EXPECT_LE(sampler.peak(), baseline + WireTransport::kMaxWorkers);
+  EXPECT_EQ(sink.objects_received(), kRequests);
+  EXPECT_EQ(sink.bytes_received(), payload.size());
+  sink.stop();
+}
+
+TEST(WireTransportWorkers, CancelSettlesQueuedRequestsWithoutASocket) {
+  // A policed ingress, its token bucket drained first, holds each upload
+  // for ~65 ms and serves them one at a time, so the batch is cancelled
+  // while the first uploads are in flight and most requests are queued.
+  constexpr std::size_t kRequests = 64;
+  constexpr double kRate = 1e6;
+  Sink sink;
+  auto port = sink.add_ingress(kRate);
+  ASSERT_TRUE(port.ok());
+  ASSERT_TRUE(sink.start().ok());
+  util::Rng rng(13);
+  const util::Blob burst = util::make_random_blob(rng, 256 * 1024);
+  ASSERT_TRUE(upload_direct(port.value(), burst).ok());
+
+  const util::Blob payload = util::make_random_blob(rng, kRequests * 64 * 1024);
+  WireTransport wire;
+  transfer::TransferEngine xfer(&wire);
+  transfer::Segment segment;
+  segment.wire_port = port.value();
+  const transfer::SegmentId target = xfer.register_segment(segment);
+  auto batch = xfer.submit_batch(write_requests(payload, kRequests, target));
+  batch.start();
+  batch.cancel();
+  EXPECT_FALSE(batch.wait());
+
+  // A request a worker took before the cancel finishes with its real fate;
+  // every other one settles kAborted at dequeue and never reaches the sink.
+  std::size_t completed = 0;
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    const transfer::RequestStatus& status = batch.status(i);
+    if (status.completed()) {
+      ++completed;
+      continue;
+    }
+    EXPECT_EQ(status.state, transfer::RequestState::kAborted) << i;
+    EXPECT_EQ(status.error, "wire upload cancelled before start") << i;
+  }
+  EXPECT_EQ(sink.objects_received(), 1 + completed);
+  sink.stop();
 }
 
 }  // namespace
